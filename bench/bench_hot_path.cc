@@ -27,7 +27,10 @@
 //    slide, whose per-point cost is dominated by inherently scalar
 //    convex-hull maintenance (see docs/PERFORMANCE.md);
 //  - the encode path (filter -> transmitter -> codec -> channel, with
-//    frame recycling) allocates zero times per point in steady state.
+//    frame recycling) allocates zero times per point in steady state;
+//  - a whole inproc Pipeline with storage=none (swing, frame codec, one
+//    shard) allocates zero times over a measured 10^6-point pass, so no
+//    layer keeps a growing per-segment copy.
 
 #include <algorithm>
 #include <atomic>
@@ -42,9 +45,11 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/rng.h"
 #include "common/simd.h"
 #include "core/filter_registry.h"
 #include "datagen/correlated_walk.h"
+#include "stream/pipeline.h"
 #include "stream/sharded_filter_bank.h"
 #include "stream/transmitter.h"
 #include "stream/wire_codec.h"
@@ -365,6 +370,51 @@ EncodeResult MeasureEncode(const std::string& codec_spec,
   return result;
 }
 
+struct PipelineResult {
+  size_t points = 0;  // measured pass
+  double points_per_sec = 0.0;
+  uint64_t allocations = 0;
+};
+
+// Bounded-memory probe: Pipeline::Append through a whole inproc pipeline
+// with nothing to archive — bank, swing filter, transmitter, frame codec
+// and channel recycling. A warm pass sizes every buffer; the measured
+// 10^6-point pass must then not allocate at all, so any layer that keeps
+// a per-segment copy (a growing vector reallocates) fails the gate.
+PipelineResult MeasurePipeline(const Config& config) {
+  auto pipeline = ValueOrDie(Pipeline::Builder()
+                                 .DefaultSpec("swing(eps=0.5)")
+                                 .Codec("frame")
+                                 .Storage("none")
+                                 .Shards(1)
+                                 .Build(),
+                             "Pipeline::Build");
+  Rng rng(77);
+  double t = 0.0;
+  double x = 0.0;
+  const auto append = [&](size_t n, const char* what) {
+    for (size_t j = 0; j < n; ++j) {
+      x += rng.Uniform(-1.0, 1.0);
+      CheckOk(pipeline->Append("fleet.host0.cpu", t, x), what);
+      t += 1.0;
+    }
+  };
+  append(config.points, "pipeline warm-up");
+
+  PipelineResult result;
+  result.points = 1000000;
+  const uint64_t allocs_before = g_allocations.load(std::memory_order_relaxed);
+  const auto start = std::chrono::steady_clock::now();
+  append(result.points, "pipeline measured append");
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  result.allocations =
+      g_allocations.load(std::memory_order_relaxed) - allocs_before;
+  CheckOk(pipeline->Finish(), "pipeline finish");
+  result.points_per_sec = static_cast<double>(result.points) / elapsed.count();
+  return result;
+}
+
 struct GuardResult {
   double none_pps = 0.0;     // no ingest policy configured at all
   double pass_pps = 0.0;     // explicit "pass" policy (no guard object)
@@ -568,6 +618,14 @@ int Main(int argc, char** argv) {
                 row_ok ? "" : "  <- GATE: expected 0 allocs");
   }
 
+  std::printf("\nPipeline, swing/frame/storage=none, inproc, 1 shard:\n");
+  const PipelineResult pipe = MeasurePipeline(config);
+  const bool pipeline_ok = !config.gates || pipe.allocations == 0;
+  std::printf("  %zu points: %14.0f points/sec  %llu allocs%s\n", pipe.points,
+              pipe.points_per_sec,
+              static_cast<unsigned long long>(pipe.allocations),
+              pipeline_ok ? "" : "  <- GATE: expected 0 allocs");
+
   std::printf("\nSharded ingest, locked mode, %zu keys, batch=256:\n",
               config.keys);
   const ShardedResult sharded = MeasureSharded(config);
@@ -650,7 +708,12 @@ int Main(int argc, char** argv) {
                    i + 1 < encode_results.size() ? "," : "");
     }
     std::fprintf(out,
-                 "  ],\n  \"sharded\": {\"keys\": %zu, \"batch\": 256, "
+                 "  ],\n  \"pipeline_none\": {\"points\": %zu, "
+                 "\"points_per_sec\": %.0f, \"allocations\": %llu},\n",
+                 pipe.points, pipe.points_per_sec,
+                 static_cast<unsigned long long>(pipe.allocations));
+    std::fprintf(out,
+                 "  \"sharded\": {\"keys\": %zu, \"batch\": 256, "
                  "\"single_points_per_sec\": %.0f, "
                  "\"batched_points_per_sec\": %.0f, \"speedup\": %.3f, "
                  "\"identical\": %s},\n"
@@ -662,7 +725,7 @@ int Main(int argc, char** argv) {
                  "  \"gates\": {\"zero_alloc\": %s, \"throughput\": %s, "
                  "\"identical\": %s, \"guard_pass_alloc\": %s, "
                  "\"guard_pass_overhead\": %s, \"simd_speedup\": %s, "
-                 "\"encode_zero_alloc\": %s}\n}\n",
+                 "\"encode_zero_alloc\": %s, \"pipeline_zero_alloc\": %s}\n}\n",
                  config.keys, sharded.single_pps, sharded.batched_pps,
                  sharded.speedup, sharded.identical ? "true" : "false",
                  guard.none_pps, guard.pass_pps, pass_ratio,
@@ -675,7 +738,8 @@ int Main(int argc, char** argv) {
                  identical_ok ? "true" : "false",
                  guard_alloc_ok ? "true" : "false",
                  guard_overhead_ok ? "true" : "false",
-                 simd_ok ? "true" : "false", encode_ok ? "true" : "false");
+                 simd_ok ? "true" : "false", encode_ok ? "true" : "false",
+                 pipeline_ok ? "true" : "false");
     std::fclose(out);
     std::printf("\nwrote %s\n", config.json_path.c_str());
   }
@@ -720,8 +784,15 @@ int Main(int argc, char** argv) {
                  "\nGATE FAILED: encode path (filter->transmitter->codec->"
                  "channel with recycling) must not allocate per point\n");
   }
+  if (!pipeline_ok) {
+    std::fprintf(stderr,
+                 "\nGATE FAILED: a storage=none pipeline allocated %llu times "
+                 "over %zu points; its memory must stay flat\n",
+                 static_cast<unsigned long long>(pipe.allocations),
+                 pipe.points);
+  }
   return (zero_alloc_ok && throughput_ok && identical_ok && guard_alloc_ok &&
-          guard_overhead_ok && simd_ok && encode_ok)
+          guard_overhead_ok && simd_ok && encode_ok && pipeline_ok)
              ? 0
              : 1;
 }

@@ -1,7 +1,7 @@
 // Copyright (c) 2026 The plastream Authors. MIT license.
 //
 // Sharded-ingest throughput: aggregate points/sec through the full
-// Pipeline (filter -> wire codec -> receiver -> archive) as a function of
+// Pipeline (filter -> wire codec accounting + archive) as a function of
 // shard count, with one producer thread per shard, in both execution
 // modes (per-shard locks vs dedicated shard workers). Also asserts the
 // sharding contract: per-key segment sequences are identical for every

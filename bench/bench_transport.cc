@@ -11,9 +11,11 @@
 //   $ ./build/bench_transport --soak [--producers N] [--points N]
 //         [--slowloris N] [--faults SPEC] [--json PATH]
 //
+// The points/sec table is informational; end-to-end throughput is gated by
+// bench/e2e's collector_fanin workload against the parent commit, not by
+// an absolute floor here.
+//
 // Gates (exit 1):
-//   * tcp loopback with the batch(n=256) codec sustains >= 100k
-//     points/sec through one connection
 //   * every networked run delivers all streams' FINISH to the collector
 //   * the stalled-collector producer queues no more than its unacked
 //     window (+ one frame) and observes >= 1 backpressure stall
@@ -55,7 +57,6 @@ struct Config {
   size_t keys = 8;
   size_t points_per_key = 20000;
   std::string json_path;
-  double min_tcp_batch_pps = 100000.0;
 };
 
 struct NetRun {
@@ -473,16 +474,12 @@ int Main(int argc, char** argv) {
               "seconds", "points/sec", "wire-bytes", "finish");
 
   std::vector<NetRun> runs;
-  double tcp_batch_pps = 0.0;
   bool all_delivered = true;
   for (const char* transport : {"uds", "tcp"}) {
     for (const char* codec : {"frame", "delta", "batch(n=256)"}) {
       const NetRun run = RunNet(config, transport, codec, keys, signals);
       runs.push_back(run);
       all_delivered = all_delivered && run.delivered;
-      if (run.transport == "tcp" && run.codec == "batch(n=256)") {
-        tcp_batch_pps = run.points_per_sec;
-      }
       std::printf("%-6s %-14s %10.3f %16.0f %14zu %10s\n",
                   run.transport.c_str(), run.codec.c_str(), run.seconds,
                   run.points_per_sec, run.wire_bytes,
@@ -497,12 +494,10 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(stall.backpressure_stalls),
               stall.bounded ? "bounded" : "UNBOUNDED");
 
-  const bool throughput_ok = tcp_batch_pps >= config.min_tcp_batch_pps;
   const bool stall_ok = stall.bounded && stall.backpressure_stalls >= 1;
-  std::printf("\nshape: tcp+batch(n=256) %.0f points/sec (gate %.0f) %s; "
-              "producer memory under a stalled collector is %s\n",
-              tcp_batch_pps, config.min_tcp_batch_pps,
-              throughput_ok ? "OK" : "FAIL",
+  std::printf("\nshape: every FINISH %s; producer memory under a stalled "
+              "collector is %s\n",
+              all_delivered ? "applied" : "NOT APPLIED",
               stall_ok ? "bounded" : "NOT BOUNDED");
 
   if (!config.json_path.empty()) {
@@ -536,7 +531,7 @@ int Main(int argc, char** argv) {
     std::fclose(out);
     std::printf("wrote %s\n", config.json_path.c_str());
   }
-  return throughput_ok && all_delivered && stall_ok ? 0 : 1;
+  return all_delivered && stall_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -53,8 +53,8 @@ int main() {
                       .Build()
                       .value();
 
-  // Drive all sensors sample-by-sample; the pipeline's receivers decode as
-  // data arrives (every Append drains the sensor's channel).
+  // Drive all sensors sample-by-sample; every Append archives whatever
+  // segment the sensor's filter closes and bills its wire bytes.
   for (size_t j = 0; j < kSamples; ++j) {
     for (size_t s = 0; s < kSensors; ++s) {
       (void)pipeline->Append(SensorKey(s), signals[s].points[j]);

@@ -7,6 +7,7 @@
 #define PLASTREAM_COMMON_RESULT_H_
 
 #include <cassert>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -25,6 +26,15 @@ class [[nodiscard]] Result {
   Result(Status status) : repr_(std::move(status)) {  // NOLINT(runtime/explicit)
     assert(!std::get<Status>(repr_).ok() &&
            "Result constructed from an OK status carries no value");
+  }
+
+  /// Converts a result whose value converts to T (implicit, like the
+  /// value conversion itself); a failure carries over unchanged.
+  template <typename U>
+    requires(!std::is_same_v<U, T> && std::is_convertible_v<U &&, T>)
+  Result(Result<U> other)  // NOLINT(runtime/explicit)
+      : repr_(other.status()) {
+    if (other.ok()) repr_ = T(std::move(other).value());
   }
 
   /// True iff a value is present.

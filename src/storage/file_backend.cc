@@ -1,8 +1,8 @@
 // Copyright (c) 2026 The plastream Authors. MIT license.
 //
 // "file": the durable storage backend — one append-only archive log per
-// pipeline, in the format of storage/archive_format.h. Every segment the
-// receivers rebuild is framed as a stream-id-tagged, CRC32C-trailed
+// pipeline, in the format of storage/archive_format.h. Every archived
+// segment is framed as a stream-id-tagged, CRC32C-trailed
 // record and appended to the log; Open() on an existing file runs crash
 // recovery (scan, truncate the torn tail, rebuild every stream's
 // in-memory store) and then keeps appending where the intact prefix

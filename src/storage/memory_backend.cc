@@ -4,9 +4,8 @@
 // SegmentStore archive the Pipeline always had, extracted behind the
 // StorageBackend seam. Nothing is durable; everything is queryable.
 //
-// "none": the no-archive backend — OpenStream returns nullptr, so the
-// pipeline keeps only the receiver-side segment lists (the old
-// WithStore(false) behavior, now a spec like everything else).
+// "none": the no-archive backend — OpenStream returns nullptr and nothing
+// is retained, so a pipeline's memory stays flat however long it runs.
 //
 // Specs: "memory", "none" (no parameters).
 

@@ -1,14 +1,14 @@
 // Copyright (c) 2026 The plastream Authors. MIT license.
 //
 // The pluggable storage-backend subsystem: where a pipeline's segments
-// live once the receiver has rebuilt them. A StorageBackend turns
+// live — the one owner of them. A StorageBackend turns
 // per-stream segment appends into an archive (in-memory, an on-disk log,
 // or a user-registered medium); the StorageRegistry makes backends
 // selectable by the same spec-string grammar as filters and wire codecs,
 // so durability is a configuration choice rather than a recompile:
 //
 //   "memory"                              per-stream SegmentStores — default
-//   "none"                                no archive (receiver only)
+//   "none"                                no archive; nothing retained
 //   "file(path=a.plar,codec=delta,sync=flush)"
 //                                         durable append-only archive log
 //
@@ -74,7 +74,7 @@ bool IsDiskFull(const Status& status);
 /// the pipeline's stream state.
 ///
 /// Thread-safety: Append is only ever called from the thread that owns
-/// the stream's shard (the Pipeline's post-append drain), so a handle
+/// the stream's shard (the stream's filter emitting), so a handle
 /// needs no locking of its own state; a backend whose streams share a
 /// medium synchronizes inside the medium append only.
 class StreamStorage {

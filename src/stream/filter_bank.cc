@@ -6,8 +6,11 @@
 
 namespace plastream {
 
-FilterBank::FilterBank(FilterFactory factory, IngestPolicy ingest)
-    : factory_(std::move(factory)), ingest_(ingest) {}
+FilterBank::FilterBank(FilterFactory factory, IngestPolicy ingest,
+                       PostAppendHook post_append)
+    : factory_(std::move(factory)),
+      ingest_(ingest),
+      post_append_(std::move(post_append)) {}
 
 Result<FilterBank::Entry*> FilterBank::FindOrCreate(std::string_view key) {
   if (finished_) {
@@ -15,13 +18,14 @@ Result<FilterBank::Entry*> FilterBank::FindOrCreate(std::string_view key) {
   }
   auto it = filters_.find(key);
   if (it == filters_.end()) {
-    PLASTREAM_ASSIGN_OR_RETURN(auto filter, factory_(key));
-    if (filter == nullptr) {
+    PLASTREAM_ASSIGN_OR_RETURN(NewStream made, factory_(key));
+    if (made.filter == nullptr) {
       return Status::Internal("filter factory returned null for key '" +
                               std::string(key) + "'");
     }
     Entry entry;
-    entry.filter = std::move(filter);
+    entry.context = std::move(made.context);
+    entry.filter = std::move(made.filter);
     if (!ingest_.pass_through()) {
       entry.guard = std::make_unique<IngestGuard>(ingest_, entry.filter.get());
     }
@@ -30,18 +34,26 @@ Result<FilterBank::Entry*> FilterBank::FindOrCreate(std::string_view key) {
   return &it->second;
 }
 
+Status FilterBank::AfterAppend(Entry& entry, Status appended) {
+  if (post_append_ == nullptr) return appended;
+  Status hook = post_append_(entry.context.get());
+  if (!appended.ok()) return appended;
+  return hook;
+}
+
 Status FilterBank::Append(std::string_view key, const DataPoint& point) {
   PLASTREAM_ASSIGN_OR_RETURN(Entry* const entry, FindOrCreate(key));
-  if (entry->guard) return entry->guard->Admit(point);
-  return entry->filter->Append(point);
+  return AfterAppend(*entry, entry->guard ? entry->guard->Admit(point)
+                                          : entry->filter->Append(point));
 }
 
 Status FilterBank::AppendBatch(std::string_view key,
                                std::span<const DataPoint> points) {
   if (points.empty()) return Status::OK();
   PLASTREAM_ASSIGN_OR_RETURN(Entry* const entry, FindOrCreate(key));
-  if (entry->guard) return entry->guard->AdmitBatch(points);
-  return entry->filter->AppendBatch(points);
+  return AfterAppend(*entry, entry->guard
+                                 ? entry->guard->AdmitBatch(points)
+                                 : entry->filter->AppendBatch(points));
 }
 
 Status FilterBank::AppendBatch(std::string_view key,
@@ -49,8 +61,9 @@ Status FilterBank::AppendBatch(std::string_view key,
                                std::span<const double> vals) {
   if (ts.empty() && vals.empty()) return Status::OK();
   PLASTREAM_ASSIGN_OR_RETURN(Entry* const entry, FindOrCreate(key));
-  if (entry->guard) return entry->guard->AdmitBatch(ts, vals);
-  return entry->filter->AppendBatch(ts, vals);
+  return AfterAppend(*entry, entry->guard
+                                 ? entry->guard->AdmitBatch(ts, vals)
+                                 : entry->filter->AppendBatch(ts, vals));
 }
 
 Status FilterBank::FinishAll() {
@@ -85,6 +98,19 @@ bool FilterBank::Contains(std::string_view key) const {
 const Filter* FilterBank::GetFilter(std::string_view key) const {
   const auto it = filters_.find(key);
   return it == filters_.end() ? nullptr : it->second.filter.get();
+}
+
+const StreamContext* FilterBank::Context(std::string_view key) const {
+  const auto it = filters_.find(key);
+  return it == filters_.end() ? nullptr : it->second.context.get();
+}
+
+Status FilterBank::ForEachContext(
+    const std::function<Status(StreamContext&)>& visit) {
+  for (auto& [key, entry] : filters_) {
+    if (entry.context) PLASTREAM_RETURN_NOT_OK(visit(*entry.context));
+  }
+  return Status::OK();
 }
 
 FilterBank::BankStats FilterBank::Stats() const {

@@ -4,7 +4,9 @@
 // monitoring deployments carry thousands of keyed streams ("host42.cpu",
 // "sensor-7.temperature"); the bank routes each point to its stream's
 // filter, creating filters lazily through a user-supplied factory so every
-// stream can have its own precision profile.
+// stream can have its own precision profile. The factory may attach a
+// per-key context next to the filter, which a post-append hook then
+// receives from the same lookup that found the filter.
 
 #ifndef PLASTREAM_STREAM_FILTER_BANK_H_
 #define PLASTREAM_STREAM_FILTER_BANK_H_
@@ -24,18 +26,49 @@
 
 namespace plastream {
 
+/// Per-key state the owner of a bank attaches to a stream next to its
+/// filter (the Pipeline's wire codec and archive handle). The bank owns it
+/// for the stream's lifetime, never reads it, and hands it to the
+/// post-append hook.
+class StreamContext {
+ public:
+  /// Contexts are deleted through the base interface.
+  virtual ~StreamContext() = default;
+};
+
 /// Routes keyed data points to per-stream filters.
 class FilterBank {
  public:
-  /// Builds the filter for a newly seen stream key.
+  /// What a factory builds for a newly seen key. Implicit from a bare
+  /// filter, so factories that attach no context return just the filter.
+  struct NewStream {
+    /// A stream of `filter_in` with optional per-key `context_in`.
+    NewStream(std::unique_ptr<Filter> filter_in,  // NOLINT(runtime/explicit)
+              std::unique_ptr<StreamContext> context_in = nullptr)
+        : filter(std::move(filter_in)), context(std::move(context_in)) {}
+    /// The stream's filter; must not be null.
+    std::unique_ptr<Filter> filter;
+    /// Per-key context for the post-append hook; may be null.
+    std::unique_ptr<StreamContext> context;
+  };
+
+  /// Builds the filter (and optional context) for a newly seen key.
   using FilterFactory =
-      std::function<Result<std::unique_ptr<Filter>>(std::string_view key)>;
+      std::function<Result<NewStream>(std::string_view key)>;
+
+  /// Optional callback run after every append call on a stream — also
+  /// after a batch that stopped at an error, so whatever it emitted is
+  /// handled — with the stream's context (null when none was attached). A
+  /// non-OK return is reported like a filter error; the filter's own
+  /// error wins.
+  using PostAppendHook = std::function<Status(StreamContext* context)>;
 
   /// `factory` is consulted once per distinct key, on first Append.
   /// A non-pass-through `ingest` policy puts an IngestGuard in front of
   /// every stream's filter (see stream/ingest_guard.h); the default
   /// pass-through policy adds no stage and no overhead.
-  explicit FilterBank(FilterFactory factory, IngestPolicy ingest = {});
+  explicit FilterBank(FilterFactory factory, IngestPolicy ingest = {},
+                      PostAppendHook post_append = nullptr);
 
   /// Appends a point to the stream named `key`, creating its filter on
   /// first use. Propagates factory and filter errors; with an ingest
@@ -73,6 +106,14 @@ class FilterBank {
   /// per-stream statistics.
   const Filter* GetFilter(std::string_view key) const;
 
+  /// The context the factory attached to `key`'s stream, or nullptr for
+  /// an unknown key or a stream without one.
+  const StreamContext* Context(std::string_view key) const;
+
+  /// Calls `visit` on every attached context, in key order, stopping at
+  /// the first error.
+  Status ForEachContext(const std::function<Status(StreamContext&)>& visit);
+
   /// Aggregate statistics across every stream.
   struct BankStats {
     size_t streams = 0;           ///< distinct keys seen
@@ -88,8 +129,11 @@ class FilterBank {
   IngestGuardStats IngestStats() const;
 
  private:
-  // One stream: its filter plus the optional guard stage in front of it.
+  // One stream: its filter, the optional guard stage in front of it, and
+  // the owner's context (declared first so it outlives the filter, which
+  // may emit into it).
   struct Entry {
+    std::unique_ptr<StreamContext> context;
     std::unique_ptr<Filter> filter;
     std::unique_ptr<IngestGuard> guard;  // null in pass-through mode
   };
@@ -97,8 +141,12 @@ class FilterBank {
   // The stream's entry, created through the factory on first use.
   Result<Entry*> FindOrCreate(std::string_view key);
 
+  // Runs the post-append hook on `entry`; `appended` wins over its error.
+  Status AfterAppend(Entry& entry, Status appended);
+
   FilterFactory factory_;
   IngestPolicy ingest_;
+  PostAppendHook post_append_;
   // Ordered map: heterogeneous lookup by string_view avoids a per-Append
   // allocation, and Keys() falls out sorted.
   std::map<std::string, Entry, std::less<>> filters_;

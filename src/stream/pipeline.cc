@@ -276,45 +276,35 @@ Pipeline::Pipeline(std::optional<FilterSpec> default_spec,
       transport_spec_(std::move(transport_spec)),
       transport_(std::move(transport)),
       ingest_policy_(bank_options.ingest) {
-  stream_shards_.reserve(bank_options.shards);
-  for (size_t i = 0; i < bank_options.shards; ++i) {
-    stream_shards_.push_back(std::make_unique<StreamShard>());
-  }
-  // The factory runs on the thread that processes the key's first point;
-  // only the key's own stream-shard map locks for the insertion —
-  // afterwards the new Stream is touched solely by its shard.
+  // The factory runs on the thread that processes the key's first point
+  // and hands the bank the filter plus the Stream it emits into; the bank
+  // owns both, so the post-append hook gets the Stream with no lookup.
   auto factory =
-      [this](std::string_view key) -> Result<std::unique_ptr<Filter>> {
+      [this](std::string_view key) -> Result<FilterBank::NewStream> {
     PLASTREAM_ASSIGN_OR_RETURN(const FilterSpec spec, SpecFor(key));
-    StreamShard& shard = *stream_shards_[bank_->ShardOf(key)];
-    Stream* stream;
-    {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      stream = &shard.streams[std::string(key)];
-    }
+    auto stream = std::make_unique<Stream>();
     PLASTREAM_ASSIGN_OR_RETURN(stream->codec,
                                codec_registry_->MakeCodec(codec_spec_));
     stream->transmitter.emplace(&stream->channel, stream->codec.get());
+    const size_t dims = spec.options.epsilon.size();
     if (transport_->remote()) {
-      // Frames leave through the transport; the collector decodes and
-      // archives. DrainKey forwards the channel into the link.
+      // Frames leave through the transport; the collector archives.
       PLASTREAM_ASSIGN_OR_RETURN(
           stream->link,
-          transport_->OpenLink(
-              key, static_cast<uint16_t>(spec.options.epsilon.size())));
+          transport_->OpenLink(key, static_cast<uint16_t>(dims)));
     } else {
-      stream->receiver.emplace(stream->codec.get());
       // The backend hands back this stream's archive handle (or nullptr
       // for "none"); a file backend that recovered the key returns the
       // handle with every pre-crash segment already queryable.
-      PLASTREAM_ASSIGN_OR_RETURN(
-          stream->storage,
-          storage_->OpenStream(key, spec.options.epsilon.size()));
+      PLASTREAM_ASSIGN_OR_RETURN(stream->storage,
+                                 storage_->OpenStream(key, dims));
     }
-    return registry_->MakeFilter(spec, &*stream->transmitter);
+    PLASTREAM_ASSIGN_OR_RETURN(auto filter,
+                               registry_->MakeFilter(spec, stream.get()));
+    return FilterBank::NewStream(std::move(filter), std::move(stream));
   };
-  bank_options.post_append = [this](std::string_view key) {
-    return DrainKey(key);
+  bank_options.post_append = [](StreamContext* stream) {
+    return static_cast<Stream*>(stream)->Drain();
   };
   bank_ = ShardedFilterBank::Create(std::move(factory),
                                     std::move(bank_options))
@@ -335,8 +325,9 @@ Result<FilterSpec> Pipeline::SpecFor(std::string_view key) const {
 }
 
 Status Pipeline::Append(std::string_view key, const DataPoint& point) {
-  // Filtering, wire transport and archiving all happen inside the bank's
-  // post-append hook (DrainKey), on the shard that owns the key.
+  // Filtering, encoding and archiving run inside the bank, on the shard
+  // that owns the key; its post-append hook (Stream::Drain) ships or
+  // recycles the frames and reports the stream's sticky errors.
   return bank_->Append(key, point);
 }
 
@@ -347,7 +338,7 @@ Status Pipeline::Append(std::string_view key, double t, double value) {
 Status Pipeline::AppendBatch(std::string_view key,
                              std::span<const DataPoint> points) {
   // The bank batches the shard lock/queue hop and runs the post-append
-  // hook (DrainKey) once for the whole key-group.
+  // hook (Stream::Drain) once for the whole key-group.
   return bank_->AppendBatch(key, points);
 }
 
@@ -356,34 +347,45 @@ Status Pipeline::AppendBatch(std::string_view key, std::span<const double> ts,
   return bank_->AppendBatch(key, ts, vals);
 }
 
-Status Pipeline::DrainKey(std::string_view key) {
-  StreamShard& shard = *stream_shards_[bank_->ShardOf(key)];
-  Stream* stream;
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.streams.find(key);
-    if (it == shard.streams.end()) {
-      return Status::Internal("stream state missing for '" + std::string(key) +
-                              "'");
-    }
-    stream = &it->second;
+void Pipeline::Stream::OnSegment(const Segment& segment) {
+  transmitter->OnSegment(segment);
+  if (storage != nullptr && archive_status.ok()) {
+    archive_status = storage->Append(segment);
   }
-  return Drain(*stream);
+}
+
+void Pipeline::Stream::OnProvisionalLine(const ProvisionalLine& line) {
+  transmitter->OnProvisionalLine(line);
+}
+
+Status Pipeline::Stream::Drain() {
+  // Runs after every append: test the sticky errors without copying them.
+  if (!transmitter->status().ok()) return transmitter->status();
+  if (!archive_status.ok()) return archive_status;
+  while (std::optional<std::vector<uint8_t>> frame = channel.Pop()) {
+    // Remote: the frame goes out over the transport, which may block on
+    // backpressure and reconnect under the hood. Inproc: its bytes were
+    // only counted, and the buffer goes back unread.
+    if (link != nullptr) PLASTREAM_RETURN_NOT_OK(link->SendFrame(*frame));
+    channel.Recycle(std::move(*frame));
+  }
+  return Status::OK();
+}
+
+Status Pipeline::Stream::Flush() {
+  PLASTREAM_RETURN_NOT_OK(transmitter->Flush());
+  return Drain();
 }
 
 Status Pipeline::Flush() {
   // Quiesce the shard workers first (threaded mode), then force every
-  // stream's codec to emit what it still buffers and drain it through the
-  // receiver into the archive. Callers hold the between-phases contract
-  // (no concurrent Append), so touching stream state here is safe.
+  // stream's codec to emit what it still buffers and drain it. Callers
+  // hold the between-phases contract (no concurrent Append), so touching
+  // stream state here is safe.
   PLASTREAM_RETURN_NOT_OK(bank_->Flush());
-  for (auto& shard : stream_shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    for (auto& [key, stream] : shard->streams) {
-      PLASTREAM_RETURN_NOT_OK(stream.transmitter->Flush());
-      PLASTREAM_RETURN_NOT_OK(Drain(stream));
-    }
-  }
+  PLASTREAM_RETURN_NOT_OK(bank_->ForEachContext([](StreamContext& stream) {
+    return static_cast<Stream&>(stream).Flush();
+  }));
   // Durability point: everything archived so far reaches the backend's
   // medium — and, over a remote transport, everything sent is
   // acknowledged by the collector — before Flush returns.
@@ -391,47 +393,17 @@ Status Pipeline::Flush() {
   return storage_->Flush();
 }
 
-Status Pipeline::Drain(Stream& stream) {
-  PLASTREAM_RETURN_NOT_OK(stream.transmitter->status());
-  if (stream.link != nullptr) {
-    // Remote: every queued frame goes out over the transport, which may
-    // block on backpressure and reconnect under the hood.
-    while (std::optional<std::vector<uint8_t>> frame = stream.channel.Pop()) {
-      PLASTREAM_RETURN_NOT_OK(stream.link->SendFrame(*frame));
-      stream.channel.Recycle(std::move(*frame));
-    }
-    return Status::OK();
-  }
-  PLASTREAM_RETURN_NOT_OK(stream.receiver->Poll(&stream.channel));
-  if (stream.storage == nullptr) return Status::OK();
-  const std::vector<Segment>& segments = stream.receiver->segments();
-  for (; stream.archived < segments.size(); ++stream.archived) {
-    PLASTREAM_RETURN_NOT_OK(
-        stream.storage->Append(segments[stream.archived]));
-  }
-  return Status::OK();
-}
-
 Status Pipeline::Finish() {
   if (finished_) return Status::OK();
-  // Joins shard workers (threaded mode) and finishes every filter, pushing
-  // each stream's final segments through its transmitter; the codec flush
-  // then emits anything a batching codec still buffers.
+  // Joins shard workers (threaded mode) and finishes every filter, which
+  // emits each stream's final segments; the codec flush then emits
+  // anything a batching codec still buffers, and remote links close.
   PLASTREAM_RETURN_NOT_OK(bank_->FinishAll());
-  for (auto& shard : stream_shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    for (auto& [key, stream] : shard->streams) {
-      PLASTREAM_RETURN_NOT_OK(stream.transmitter->Flush());
-      if (stream.link != nullptr) {
-        PLASTREAM_RETURN_NOT_OK(Drain(stream));
-        PLASTREAM_RETURN_NOT_OK(stream.link->Finish());
-        continue;
-      }
-      PLASTREAM_RETURN_NOT_OK(stream.receiver->Poll(&stream.channel));
-      PLASTREAM_RETURN_NOT_OK(stream.receiver->FinishStream());
-      PLASTREAM_RETURN_NOT_OK(Drain(stream));
-    }
-  }
+  PLASTREAM_RETURN_NOT_OK(bank_->ForEachContext([](StreamContext& context) {
+    Stream& stream = static_cast<Stream&>(context);
+    PLASTREAM_RETURN_NOT_OK(stream.Flush());
+    return stream.link == nullptr ? Status::OK() : stream.link->Finish();
+  }));
   finished_ = true;
   // Wait for the collector's acknowledgment of every frame (remote), then
   // finalize the archive medium; the in-memory stores stay queryable.
@@ -453,10 +425,7 @@ std::vector<std::string> Pipeline::Keys() const {
 }
 
 const Pipeline::Stream* Pipeline::Find(std::string_view key) const {
-  const StreamShard& shard = *stream_shards_[bank_->ShardOf(key)];
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.streams.find(key);
-  return it == shard.streams.end() ? nullptr : &it->second;
+  return static_cast<const Stream*>(bank_->Context(key));
 }
 
 Result<std::vector<Segment>> Pipeline::Segments(std::string_view key) const {
@@ -465,35 +434,29 @@ Result<std::vector<Segment>> Pipeline::Segments(std::string_view key) const {
         "segments live on the collector with a remote transport ('" +
         transport_spec_.Format() + "'); query the CollectorServer");
   }
-  const Stream* stream = Find(key);
-  if (stream == nullptr) {
+  if (const SegmentStore* store = Store(key); store != nullptr) {
+    return std::vector<Segment>(store->segments().begin(),
+                                store->segments().end());
+  }
+  if (!bank_->Contains(key)) {
     return Status::NotFound("unknown stream '" + std::string(key) + "'");
   }
-  return stream->receiver->segments();
+  return Status::FailedPrecondition(
+      "storage '" + storage_spec_.Format() +
+      "' retains no segments; configure an archive such as \"memory\" to "
+      "read them back");
 }
 
 Result<PiecewiseLinearFunction> Pipeline::Reconstruction(
     std::string_view key) const {
-  if (transport_->remote()) {
-    return Status::FailedPrecondition(
-        "segments live on the collector with a remote transport ('" +
-        transport_spec_.Format() + "'); query the CollectorServer");
-  }
-  const Stream* stream = Find(key);
-  if (stream == nullptr) {
-    return Status::NotFound("unknown stream '" + std::string(key) + "'");
-  }
-  return stream->receiver->Reconstruction();
+  PLASTREAM_ASSIGN_OR_RETURN(std::vector<Segment> segments, Segments(key));
+  return PiecewiseLinearFunction::Make(std::move(segments));
 }
 
 const SegmentStore* Pipeline::Store(std::string_view key) const {
-  const Stream* stream = Find(key);
-  if (stream != nullptr) {
-    return stream->storage == nullptr ? nullptr : stream->storage->store();
-  }
-  // Not live this run — maybe recovered from a pre-existing archive.
-  const StreamStorage* recovered = storage_->FindStream(key);
-  return recovered == nullptr ? nullptr : recovered->store();
+  // Live and recovered streams alike: the backend knows both.
+  const StreamStorage* archive = storage_->FindStream(key);
+  return archive == nullptr ? nullptr : archive->store();
 }
 
 const Filter* Pipeline::GetFilter(std::string_view key) const {
@@ -501,34 +464,25 @@ const Filter* Pipeline::GetFilter(std::string_view key) const {
 }
 
 Result<Pipeline::StreamStats> Pipeline::StatsFor(std::string_view key) const {
+  // A stream recovered from a pre-existing archive but untouched this run
+  // has archive stats and nothing else (no filter, no transport).
   const Stream* stream = Find(key);
-  if (stream == nullptr) {
-    // A recovered-but-untouched stream has archive stats and nothing
-    // else (no filter, no transport this run).
-    if (const StreamStorage* recovered = storage_->FindStream(key);
-        recovered != nullptr) {
-      StreamStats stats;
-      stats.segments_archived = recovered->store()->segment_count();
-      stats.storage_bytes = static_cast<size_t>(recovered->bytes_written());
-      return stats;
-    }
+  const StreamStorage* archive = storage_->FindStream(key);
+  if (stream == nullptr && archive == nullptr) {
     return Status::NotFound("unknown stream '" + std::string(key) + "'");
   }
   StreamStats stats;
-  const Filter* filter = bank_->GetFilter(key);
-  if (filter != nullptr) stats.points = filter->points_seen();
-  // Remote streams have no local receiver; their segments are counted by
-  // the collector.
-  if (stream->receiver.has_value()) {
-    stats.segments = stream->receiver->segments().size();
+  if (stream != nullptr) {
+    const Filter* filter = bank_->GetFilter(key);
+    stats.points = filter->points_seen();
+    stats.segments = filter->segments_emitted();
+    stats.records_sent = stream->transmitter->records_sent();
+    stats.frames_sent = stream->channel.frames_sent();
+    stats.bytes_sent = stream->channel.bytes_sent();
   }
-  stats.records_sent = stream->transmitter->records_sent();
-  stats.frames_sent = stream->channel.frames_sent();
-  stats.bytes_sent = stream->channel.bytes_sent();
-  if (stream->storage != nullptr) {
-    stats.segments_archived = stream->storage->store()->segment_count();
-    stats.storage_bytes =
-        static_cast<size_t>(stream->storage->bytes_written());
+  if (archive != nullptr) {
+    stats.segments_archived = archive->store()->segment_count();
+    stats.storage_bytes = static_cast<size_t>(archive->bytes_written());
   }
   return stats;
 }
@@ -537,35 +491,25 @@ Pipeline::PipelineStats Pipeline::Stats() const {
   PipelineStats stats;
   const FilterBank::BankStats bank = bank_->Stats();
   stats.points = bank.points;
-  // One lock at a time (a stream-shard mutex is never nested with a bank
-  // shard mutex): snapshot the keys, then look each side up independently.
+  stats.segments = bank.segments;
+  // One lock at a time (a bank shard mutex is never nested with the
+  // backend's): snapshot the keys, then look each side up independently.
   for (const std::string& key : Keys()) {
     KeyStats key_stats;
     key_stats.key = key;
-    const Stream* stream = Find(key);
-    if (stream != nullptr) {
-      if (stream->receiver.has_value()) {
-        stats.segments += stream->receiver->segments().size();
-      }
+    if (const Stream* stream = Find(key); stream != nullptr) {
       stats.records_sent += stream->transmitter->records_sent();
       stats.frames_sent += stream->channel.frames_sent();
       stats.bytes_sent += stream->channel.bytes_sent();
       const Filter* filter = bank_->GetFilter(key);
-      if (filter != nullptr) {
-        stats.bytes_raw += filter->points_seen() *
-                           (filter->dimensions() + 1) * sizeof(double);
-      }
-      if (stream->storage != nullptr) {
-        key_stats.segments = stream->storage->store()->segment_count();
-        key_stats.storage_bytes =
-            static_cast<size_t>(stream->storage->bytes_written());
-      }
-    } else if (const StreamStorage* recovered = storage_->FindStream(key);
-               recovered != nullptr) {
-      // Recovered from a pre-existing archive, untouched this run.
-      key_stats.segments = recovered->store()->segment_count();
-      key_stats.storage_bytes =
-          static_cast<size_t>(recovered->bytes_written());
+      stats.bytes_raw += filter->points_seen() * (filter->dimensions() + 1) *
+                         sizeof(double);
+    }
+    // Archived this run or recovered from a pre-existing archive.
+    if (const StreamStorage* archive = storage_->FindStream(key);
+        archive != nullptr) {
+      key_stats.segments = archive->store()->segment_count();
+      key_stats.storage_bytes = static_cast<size_t>(archive->bytes_written());
     }
     stats.per_key.push_back(std::move(key_stats));
   }

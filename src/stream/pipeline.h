@@ -2,9 +2,10 @@
 //
 // Pipeline: the five-line collector. One object composes the whole stream
 // stack — a FilterBank routing keyed points into spec-built filters, a
-// Transmitter/Channel/Receiver round-trip per stream (binary codec, byte
-// accounting, corruption detection), and a per-stream SegmentStore archive
-// answering error-bounded range queries:
+// per-stream Transmitter whose wire codec accounts the bytes a link would
+// carry (or ships them to a remote collector), and a per-stream
+// SegmentStore archive answering error-bounded range queries. In process,
+// each filter emits straight into its stream's archive; nothing is decoded:
 //
 //   auto pipeline = Pipeline::Builder()
 //                       .DefaultSpec("slide(eps=0.05)")
@@ -24,7 +25,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -38,7 +38,6 @@
 #include "core/segment_store.h"
 #include "storage/storage_backend.h"
 #include "stream/channel.h"
-#include "stream/receiver.h"
 #include "stream/sharded_filter_bank.h"
 #include "stream/transmitter.h"
 #include "stream/wire_codec.h"
@@ -126,7 +125,8 @@ class Pipeline {
     Builder& WithCodecRegistry(const CodecRegistry* registry);
 
     /// Where encoded frames go, as a transport spec (default "inproc" —
-    /// the in-process Channel → Receiver path; "tcp(host=...,port=...)"
+    /// frames are only counted and each stream archives in process;
+    /// "tcp(host=...,port=...)"
     /// or "uds(path=...)" ship them to a CollectorServer instead). With
     /// a remote transport the collector owns decode and archive state:
     /// Segments/Reconstruction error with FailedPrecondition, Store
@@ -204,6 +204,10 @@ class Pipeline {
   /// Routes one point into the stream named `key`, creating its filter
   /// chain on first use. Errors with NotFound when the key has no spec
   /// (no default and no per-key entry), plus all Filter::Append errors.
+  /// A storage failure is sticky per stream: the call that archived the
+  /// failing segment returns it (in threaded mode: the next Flush or
+  /// Finish), and so does every later Append to the stream, Flush and
+  /// Finish.
   Status Append(std::string_view key, const DataPoint& point);
 
   /// Scalar-stream convenience overload.
@@ -227,8 +231,9 @@ class Pipeline {
 
   /// Blocks (threaded mode) until every enqueued point has been filtered,
   /// then flushes each stream's codec — a buffering codec like "batch"
-  /// holds records until flushed — and drains the transports into the
-  /// receivers and archives. Reports the first deferred error; the
+  /// holds records until flushed — and drains the transports, then the
+  /// archive medium. Reports the first deferred error (including a
+  /// stream's sticky archive failure, see Append); the
   /// pipeline stays open for more appends. Call between producer phases
   /// (never concurrently with Append) to make the read accessors safe and
   /// complete mid-stream.
@@ -243,18 +248,21 @@ class Pipeline {
   /// a pre-existing archive file that nothing has re-appended to yet.
   std::vector<std::string> Keys() const;
 
-  /// The segments reconstructed by `key`'s receiver so far.
+  /// A copy of `key`'s archived segments (Store(key)'s chain, including
+  /// any recovered from a pre-existing archive). NotFound for an unknown
+  /// key; FailedPrecondition when nothing is retained — with a remote
+  /// transport or Storage("none").
   Result<std::vector<Segment>> Segments(std::string_view key) const;
 
-  /// Queryable reconstruction of `key`'s stream from received segments.
+  /// Queryable reconstruction of `key`'s archived segments; errors as
+  /// Segments.
   Result<PiecewiseLinearFunction> Reconstruction(std::string_view key) const;
 
   /// The stream's archive, or nullptr for an unknown key or a pipeline
   /// built with Storage("none"). With a file backend the store also
   /// contains every segment recovered from a pre-existing archive, and
   /// recovered streams are queryable here before (and without) any new
-  /// Append to them. The transport accessors (Segments, Reconstruction,
-  /// GetFilter) only know streams that are live this run.
+  /// Append to them. GetFilter only knows streams that are live this run.
   const SegmentStore* Store(std::string_view key) const;
 
   /// The stream's filter (for counters/statistics), or nullptr.
@@ -267,7 +275,7 @@ class Pipeline {
   /// Transport and archive statistics of one stream.
   struct StreamStats {
     size_t points = 0;         ///< samples accepted by the filter
-    size_t segments = 0;       ///< segments received
+    size_t segments = 0;       ///< segments the filter emitted
     size_t records_sent = 0;   ///< wire records on this stream's channel
     size_t frames_sent = 0;    ///< channel frames (== records for "frame")
     size_t bytes_sent = 0;     ///< encoded bytes on this stream's channel
@@ -292,7 +300,7 @@ class Pipeline {
   struct PipelineStats {
     size_t streams = 0;            ///< distinct keys (live + recovered)
     size_t points = 0;             ///< samples accepted across streams
-    size_t segments = 0;           ///< segments received across streams
+    size_t segments = 0;           ///< segments the filters emitted
     size_t records_sent = 0;       ///< wire records (the paper's recordings)
     size_t frames_sent = 0;        ///< channel frames across streams
     size_t bytes_sent = 0;         ///< encoded bytes on all channels
@@ -355,9 +363,9 @@ class Pipeline {
   /// The transport instance (for counters); never null.
   const class Transport& GetTransport() const { return *transport_; }
 
-  /// True when frames leave the process (a tcp/uds transport): decode
-  /// and archive state live on the collector, so Segments,
-  /// Reconstruction and Store do not answer locally.
+  /// True when frames leave the process (a tcp/uds transport): the
+  /// archive lives on the collector, so Segments, Reconstruction and
+  /// Store do not answer locally.
   bool remote() const { return transport_->remote(); }
 
   /// The storage backend, for byte accounting and backend-specific
@@ -368,21 +376,32 @@ class Pipeline {
   bool finished() const { return finished_; }
 
  private:
-  // Per-stream transport + archive handle. Channel/Codec/Receiver live
-  // here; the filter is owned by the bank, the storage handle by the
-  // backend. Only the stream's shard touches this state during ingest,
-  // so no per-stream lock is needed and the per-stream codec instance
-  // makes encode lock-free in threaded mode.
-  struct Stream {
+  // Per-stream wire and archive state, owned by the bank next to the
+  // stream's filter, which emits straight into it. Only the stream's shard
+  // touches it during ingest, so it needs no lock, and the per-stream codec
+  // instance keeps encode lock-free in threaded mode.
+  struct Stream final : StreamContext, SegmentSink {
+    Stream() = default;
+    // The filter and the transmitter hold its address.
+    Stream(const Stream&) = delete;
+    Stream& operator=(const Stream&) = delete;
+
+    // Encodes the segment (the wire accounting, or the frames a remote
+    // link ships), then archives it.
+    void OnSegment(const Segment& segment) override;
+    void OnProvisionalLine(const ProvisionalLine& line) override;
+    // Ships queued frames over the link (remote) or recycles them unread
+    // (inproc), after reporting the first encode or archive failure.
+    Status Drain();
+    // Emits what the codec still buffers, then drains.
+    Status Flush();
+
     Channel channel;
     std::unique_ptr<WireCodec> codec;
     std::optional<Transmitter> transmitter;
-    // Local (inproc) path: decode + archive in-process.
-    std::optional<Receiver> receiver;
-    StreamStorage* storage = nullptr;  // borrowed; null for "none"
-    size_t archived = 0;  // receiver segments already handed to storage
-    // Remote path: frames leave through the transport instead.
-    std::unique_ptr<TransportLink> link;
+    StreamStorage* storage = nullptr;      // borrowed; null: none or remote
+    Status archive_status = Status::OK();  // first storage failure, sticky
+    std::unique_ptr<TransportLink> link;   // remote only
   };
 
   Pipeline(std::optional<FilterSpec> default_spec,
@@ -395,13 +414,7 @@ class Pipeline {
            std::unique_ptr<class Transport> transport,
            ShardedFilterBank::Options bank_options);
 
-  // Decodes whatever the transmitter queued and archives new segments.
-  Status Drain(Stream& stream);
-
-  // Post-append hook: drains the appended key's transport, running on the
-  // processing thread while the key's shard is exclusively held.
-  Status DrainKey(std::string_view key);
-
+  // The live stream state of `key`, or nullptr.
   const Stream* Find(std::string_view key) const;
 
   std::optional<FilterSpec> default_spec_;
@@ -416,16 +429,6 @@ class Pipeline {
   FilterSpec transport_spec_;
   std::unique_ptr<class Transport> transport_;
   IngestPolicy ingest_policy_;
-  // Stream state is partitioned exactly like the bank's keys, one map per
-  // shard, so the per-point drain lookup and stream creation synchronize
-  // only within a shard — appends on different shards share no lock. The
-  // mutex guards each map's structure; a mapped Stream's contents stay
-  // shard-serialized.
-  struct StreamShard {
-    mutable std::mutex mutex;
-    std::map<std::string, Stream, std::less<>> streams;
-  };
-  std::vector<std::unique_ptr<StreamShard>> stream_shards_;
   std::unique_ptr<ShardedFilterBank> bank_;
   bool finished_ = false;
 };

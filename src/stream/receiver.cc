@@ -9,11 +9,13 @@
 
 namespace plastream {
 
-Receiver::Receiver() : owned_codec_(MakeFrameWireCodec()) {
+Receiver::Receiver(SegmentSink* sink)
+    : sink_(sink), owned_codec_(MakeFrameWireCodec()) {
   codec_ = owned_codec_.get();
 }
 
-Receiver::Receiver(WireCodec* codec) : codec_(codec) {}
+Receiver::Receiver(SegmentSink* sink, WireCodec* codec)
+    : sink_(sink), codec_(codec) {}
 
 Status Receiver::Poll(Channel* channel) {
   while (auto frame = channel->Pop()) {
@@ -34,6 +36,18 @@ Status Receiver::ApplyFrame(std::span<const uint8_t> frame) {
   return Status::OK();
 }
 
+void Receiver::Emit(const WireRecord& start, const WireRecord& end,
+                    bool connected) {
+  segment_.t_start = start.t;
+  segment_.x_start = start.x;
+  segment_.t_end = end.t;
+  segment_.x_end = end.x;
+  segment_.connected_to_prev = connected;
+  coverage_t_ = std::max(coverage_t_, end.t);
+  sink_->OnSegment(segment_);
+  last_end_ = end;
+}
+
 Status Receiver::Apply(const WireRecord& record) {
   switch (record.type) {
     case WireRecordType::kSegmentBreak: {
@@ -47,19 +61,11 @@ Status Receiver::Apply(const WireRecord& record) {
         return Status::Corruption(
             "disconnected segment end without its start record");
       }
-      Segment seg;
-      seg.t_start = pending_break_->t;
-      seg.x_start = pending_break_->x;
-      seg.connected_to_prev = false;
-      pending_break_.reset();
-      seg.t_end = record.t;
-      seg.x_end = record.x;
-      if (seg.t_end < seg.t_start) {
+      if (record.t < pending_break_->t) {
         return Status::Corruption("segment end precedes its start");
       }
-      coverage_t_ = std::max(coverage_t_, seg.t_end);
-      segments_.push_back(std::move(seg));
-      last_end_ = record;
+      Emit(*pending_break_, record, /*connected=*/false);
+      pending_break_.reset();
       break;
     }
     case WireRecordType::kSegmentPointConnected: {
@@ -70,28 +76,19 @@ Status Receiver::Apply(const WireRecord& record) {
         return Status::Corruption(
             "connected segment end without a previous segment");
       }
-      Segment seg;
-      seg.t_start = last_end_->t;
-      seg.x_start = last_end_->x;
-      seg.connected_to_prev = true;
-      seg.t_end = record.t;
-      seg.x_end = record.x;
-      if (seg.t_end < seg.t_start) {
+      if (record.t < last_end_->t) {
         return Status::Corruption("segment end precedes its start");
       }
-      coverage_t_ = std::max(coverage_t_, seg.t_end);
-      segments_.push_back(std::move(seg));
-      last_end_ = record;
+      Emit(*last_end_, record, /*connected=*/true);
       break;
     }
     case WireRecordType::kProvisionalLine: {
-      ProvisionalLine line;
-      line.t = record.t;
-      line.x = record.x;
-      line.slope = record.slope;
-      line.recording_cost = 1;  // informational on the receiving side
-      provisional_.push_back(std::move(line));
+      line_.t = record.t;
+      line_.x = record.x;
+      line_.slope = record.slope;
+      line_.recording_cost = 1;  // informational on the receiving side
       coverage_t_ = std::max(coverage_t_, record.t);
+      sink_->OnProvisionalLine(line_);
       break;
     }
   }
@@ -102,15 +99,7 @@ Status Receiver::Apply(const WireRecord& record) {
 void Receiver::FlushPendingBreak() {
   if (!pending_break_.has_value()) return;
   // A break that was never continued is a zero-length (point) segment.
-  Segment seg;
-  seg.t_start = pending_break_->t;
-  seg.t_end = pending_break_->t;
-  seg.x_start = pending_break_->x;
-  seg.x_end = pending_break_->x;
-  seg.connected_to_prev = false;
-  coverage_t_ = std::max(coverage_t_, seg.t_end);
-  segments_.push_back(std::move(seg));
-  last_end_ = pending_break_;
+  Emit(*pending_break_, *pending_break_, /*connected=*/false);
   pending_break_.reset();
 }
 

@@ -1,9 +1,10 @@
 // Copyright (c) 2026 The plastream Authors. MIT license.
 //
-// Receiver: decodes wire records from a channel and incrementally rebuilds
-// the transmitted piece-wise linear approximation. The round-trip property
-// (receiver segments == filter segments) is part of the integration test
-// suite.
+// Receiver: a streaming decoder. It decodes wire records from a channel (or
+// from frames a byte-stream transport reassembled) and emits each rebuilt
+// segment into a SegmentSink, holding no copy of its own. The round-trip
+// property (received segments == filter segments) is part of the
+// integration test suite.
 
 #ifndef PLASTREAM_STREAM_RECEIVER_H_
 #define PLASTREAM_STREAM_RECEIVER_H_
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/reconstruction.h"
 #include "core/segment_sink.h"
 #include "core/types.h"
 #include "stream/channel.h"
@@ -28,14 +28,14 @@ namespace plastream {
 /// Rebuilds segments from the wire protocol.
 class Receiver {
  public:
-  /// Receives through an owned default "frame" codec.
-  Receiver();
+  /// Receives through an owned default "frame" codec, emitting into
+  /// `sink` (borrowed; must outlive the receiver).
+  explicit Receiver(SegmentSink* sink);
 
   /// Receives through `codec`, which must match the transmitter's codec
-  /// spec. Borrowed; must outlive the receiver. Stateful codecs (delta)
-  /// need one instance per stream — sharing the transmitter's instance is
-  /// fine (encode and decode state are independent).
-  explicit Receiver(WireCodec* codec);
+  /// spec, emitting into `sink`. Both are borrowed and must outlive the
+  /// receiver. Stateful codecs (delta) need one instance per stream.
+  Receiver(SegmentSink* sink, WireCodec* codec);
 
   /// Drains every queued frame from `channel`, decoding and applying the
   /// records each carries. Stops at the first corrupt frame with its
@@ -53,19 +53,6 @@ class Receiver {
   /// Marks end-of-stream: a trailing segment-break becomes a point segment.
   Status FinishStream();
 
-  /// Segments reconstructed so far, in time order.
-  const std::vector<Segment>& segments() const { return segments_; }
-
-  /// Provisional line commits observed (max-lag freezes).
-  const std::vector<ProvisionalLine>& provisional_lines() const {
-    return provisional_;
-  }
-
-  /// Builds the queryable reconstruction from the segments received so far.
-  Result<PiecewiseLinearFunction> Reconstruction() const {
-    return PiecewiseLinearFunction::Make(segments_);
-  }
-
   /// Wire records successfully applied.
   size_t records_received() const { return records_received_; }
 
@@ -77,14 +64,18 @@ class Receiver {
   Status Apply(const WireRecord& record);
   // Materializes a never-continued break record as a point segment.
   void FlushPendingBreak();
+  // Emits the segment from `start` to `end` and makes `end` the chain's
+  // last recording.
+  void Emit(const WireRecord& start, const WireRecord& end, bool connected);
 
-  std::unique_ptr<WireCodec> owned_codec_;  // set by the default ctor
+  SegmentSink* sink_;
+  std::unique_ptr<WireCodec> owned_codec_;  // set by the sink-only ctor
   WireCodec* codec_;
   std::vector<WireRecord> decoded_;  // scratch, reused across frames
   std::optional<WireRecord> pending_break_;
   std::optional<WireRecord> last_end_;
-  std::vector<Segment> segments_;
-  std::vector<ProvisionalLine> provisional_;
+  Segment segment_;       // scratch, reused across emitted segments
+  ProvisionalLine line_;  // scratch, reused across provisional commits
   size_t records_received_ = 0;
   double coverage_t_ = -std::numeric_limits<double>::infinity();
 };

@@ -44,7 +44,7 @@ ShardedFilterBank::ShardedFilterBank(FilterFactory factory, Options options)
     : options_(std::move(options)), threaded_(options_.threaded) {
   shards_.reserve(options_.shards);
   for (size_t i = 0; i < options_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(factory, options_.ingest));
+    shards_.push_back(std::make_unique<Shard>(factory, options_));
   }
   if (threaded_) {
     for (auto& shard : shards_) {
@@ -68,38 +68,6 @@ ShardedFilterBank::~ShardedFilterBank() {
 
 size_t ShardedFilterBank::ShardOf(std::string_view key) const {
   return static_cast<size_t>(Fnv1a(key) % shards_.size());
-}
-
-Status ShardedFilterBank::AppendNow(Shard& shard, std::string_view key,
-                                    const DataPoint& point) {
-  PLASTREAM_RETURN_NOT_OK(shard.bank.Append(key, point));
-  if (options_.post_append != nullptr) {
-    return options_.post_append(key);
-  }
-  return Status::OK();
-}
-
-Status ShardedFilterBank::AppendBatchNow(Shard& shard, std::string_view key,
-                                         std::span<const DataPoint> points) {
-  const Status appended = shard.bank.AppendBatch(key, points);
-  if (options_.post_append == nullptr) return appended;
-  // Run the hook even after a partial batch: earlier points may have
-  // emitted segments the hook's transport still has to drain. The
-  // filter's own error stays the one reported.
-  const Status hook = options_.post_append(key);
-  return appended.ok() ? hook : appended;
-}
-
-Status ShardedFilterBank::AppendColumnarNow(Shard& shard,
-                                            std::string_view key,
-                                            std::span<const double> ts,
-                                            std::span<const double> vals) {
-  const Status appended = shard.bank.AppendBatch(key, ts, vals);
-  if (options_.post_append == nullptr) return appended;
-  // Same discipline as AppendBatchNow: the hook runs even after a partial
-  // batch, the filter's error stays the one reported.
-  const Status hook = options_.post_append(key);
-  return appended.ok() ? hook : appended;
 }
 
 Status ShardedFilterBank::Enqueue(Shard& shard, std::string_view key,
@@ -137,7 +105,7 @@ Status ShardedFilterBank::Append(std::string_view key,
   Shard& shard = *shards_[ShardOf(key)];
   if (!threaded_) {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    return AppendNow(shard, key, point);
+    return shard.bank.Append(key, point);
   }
   Task task;
   task.kind = TaskKind::kPoint;
@@ -152,7 +120,7 @@ Status ShardedFilterBank::AppendBatch(std::string_view key,
   if (!threaded_) {
     // The whole key-group pays for one lock acquisition.
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    return AppendBatchNow(shard, key, points);
+    return shard.bank.AppendBatch(key, points);
   }
   // One queue slot (and one worker wakeup) for the whole key-group.
   Task task;
@@ -169,7 +137,7 @@ Status ShardedFilterBank::AppendBatch(std::string_view key,
   if (!threaded_) {
     // Locked mode forwards the caller's columns zero-copy.
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    return AppendColumnarNow(shard, key, ts, vals);
+    return shard.bank.AppendBatch(key, ts, vals);
   }
   Task task;
   task.kind = TaskKind::kColumnar;
@@ -193,13 +161,13 @@ void ShardedFilterBank::WorkerLoop(Shard& shard) {
     Status status;
     switch (task.kind) {
       case TaskKind::kPoint:
-        status = AppendNow(shard, task.key, task.point);
+        status = shard.bank.Append(task.key, task.point);
         break;
       case TaskKind::kBatch:
-        status = AppendBatchNow(shard, task.key, task.batch);
+        status = shard.bank.AppendBatch(task.key, task.batch);
         break;
       case TaskKind::kColumnar:
-        status = AppendColumnarNow(shard, task.key, task.ts, task.vals);
+        status = shard.bank.AppendBatch(task.key, task.ts, task.vals);
         break;
     }
 
@@ -274,6 +242,21 @@ const Filter* ShardedFilterBank::GetFilter(std::string_view key) const {
   const Shard& shard = *shards_[ShardOf(key)];
   const std::lock_guard<std::mutex> lock(shard.mutex);
   return shard.bank.GetFilter(key);
+}
+
+const StreamContext* ShardedFilterBank::Context(std::string_view key) const {
+  const Shard& shard = *shards_[ShardOf(key)];
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  return shard.bank.Context(key);
+}
+
+Status ShardedFilterBank::ForEachContext(
+    const std::function<Status(StreamContext&)>& visit) {
+  for (auto& shard : shards_) {
+    const std::lock_guard<std::mutex> lock(shard->mutex);
+    PLASTREAM_RETURN_NOT_OK(shard->bank.ForEachContext(visit));
+  }
+  return Status::OK();
 }
 
 FilterBank::BankStats ShardedFilterBank::Stats() const {

@@ -47,8 +47,8 @@ namespace plastream {
 ///    disjoint key sets, exactly as they would with one bank per producer.
 ///  - FinishAll/Flush are safe to call from one thread while producers
 ///    have stopped appending.
-///  - The read-side accessors (Keys, GetFilter, Stats, TakeSegments,
-///    AggregateCounters) are safe during concurrent ingest in locked mode;
+///  - The read-side accessors (Keys, GetFilter, Context, Stats,
+///    TakeSegments, AggregateCounters) are safe during concurrent ingest in locked mode;
 ///    in threaded mode call them only when the bank is quiescent — before
 ///    the first Append, or after Flush()/FinishAll() has returned.
 class ShardedFilterBank {
@@ -58,11 +58,11 @@ class ShardedFilterBank {
   /// the shard worker in threaded mode).
   using FilterFactory = FilterBank::FilterFactory;
 
-  /// Optional callback run after every successfully appended point, on the
-  /// processing thread, while the point's key is exclusively held — the
-  /// seam the Pipeline uses to drain per-stream transports in shard
-  /// parallel. A non-OK return is treated like a filter error.
-  using PostAppendHook = std::function<Status(std::string_view key)>;
+  /// Optional callback run after every append call, on the processing
+  /// thread, while the stream is exclusively held, with the per-key
+  /// context the factory attached — the seam the Pipeline uses to drain
+  /// per-stream transports in shard parallel (see FilterBank's hook).
+  using PostAppendHook = FilterBank::PostAppendHook;
 
   /// Configuration of a ShardedFilterBank.
   struct Options {
@@ -148,6 +148,15 @@ class ShardedFilterBank {
   /// shard is still ingesting is racy — observe the quiescence rule above.
   const Filter* GetFilter(std::string_view key) const;
 
+  /// The context the factory attached to `key`'s stream, or nullptr. Same
+  /// lifetime and quiescence rules as GetFilter.
+  const StreamContext* Context(std::string_view key) const;
+
+  /// Calls `visit` on every attached context, shard by shard under each
+  /// shard's lock, stopping at the first error. Like FinishAll, call it
+  /// only while producers have stopped (after Flush in threaded mode).
+  Status ForEachContext(const std::function<Status(StreamContext&)>& visit);
+
   /// Aggregate statistics summed over every shard.
   FilterBank::BankStats Stats() const;
 
@@ -194,8 +203,8 @@ class ShardedFilterBank {
   // zero under the mutex is what publishes the worker's writes to callers
   // of Flush/FinishAll.
   struct Shard {
-    Shard(FilterFactory factory, const IngestPolicy& ingest)
-        : bank(std::move(factory), ingest) {}
+    Shard(FilterFactory factory, const Options& options)
+        : bank(std::move(factory), options.ingest, options.post_append) {}
 
     mutable std::mutex mutex;
     FilterBank bank;
@@ -215,21 +224,6 @@ class ShardedFilterBank {
 
   // Body of a shard's worker thread.
   void WorkerLoop(Shard& shard);
-
-  // Synchronous append + hook, shard lock already held by the caller
-  // (locked mode) or exclusivity guaranteed by the worker (threaded mode).
-  Status AppendNow(Shard& shard, std::string_view key, const DataPoint& point);
-
-  // Batch counterpart of AppendNow: whole batch through the bank, hook
-  // once. The hook still runs after a partial batch so transports drain
-  // what was emitted; the filter's error wins.
-  Status AppendBatchNow(Shard& shard, std::string_view key,
-                        std::span<const DataPoint> points);
-
-  // Columnar counterpart of AppendBatchNow, same hook discipline.
-  Status AppendColumnarNow(Shard& shard, std::string_view key,
-                           std::span<const double> ts,
-                           std::span<const double> vals);
 
   // Shared threaded-mode enqueue path (backpressure, key interning). The
   // task's payload is already copied; Enqueue fills in the interned key.

@@ -665,7 +665,7 @@ bool CollectorServer::HandleFrame(Connection& conn,
       }
       stats_.records_applied +=
           state.receiver.records_received() - records_before;
-      if (applied.ok()) applied = ArchiveNewSegments(state);
+      if (applied.ok()) applied = state.status;  // archive failure
       if (!applied.ok()) {
         state.status = applied;
         fail = applied.message();
@@ -681,18 +681,6 @@ bool CollectorServer::HandleFrame(Connection& conn,
   }
   AppendAckMessage(&conn.outbuf, head.value().stream_id, ack_seq);
   return true;
-}
-
-Status CollectorServer::ArchiveNewSegments(KeyState& state) {
-  const std::vector<Segment>& segments = state.receiver.segments();
-  if (state.storage == nullptr) {
-    state.archived = segments.size();
-    return Status::OK();
-  }
-  for (; state.archived < segments.size(); ++state.archived) {
-    PLASTREAM_RETURN_NOT_OK(state.storage->Append(segments[state.archived]));
-  }
-  return Status::OK();
 }
 
 #endif  // POSIX
@@ -713,7 +701,14 @@ Result<std::vector<Segment>> CollectorServer::Segments(
     return Status::NotFound("collector has no stream '" + std::string(key) +
                             "'");
   }
-  return it->second->receiver.segments();
+  if (it->second->storage == nullptr) {
+    return Status::FailedPrecondition("collector storage '" +
+                                      options_.storage_spec +
+                                      "' retains no segments");
+  }
+  const std::span<const Segment> segments =
+      it->second->storage->store()->segments();
+  return std::vector<Segment>(segments.begin(), segments.end());
 }
 
 Result<PiecewiseLinearFunction> CollectorServer::Reconstruction(

@@ -3,9 +3,9 @@
 // CollectorServer: the network half of a plastream deployment. Producers
 // run the paper's filters next to the data and ship codec frames; the
 // collector multiplexes many producer connections onto the same
-// decode→archive path a local Pipeline uses — per-key WireCodec +
-// Receiver instances rebuild segments, a spec-selected StorageBackend
-// archives them, and every SegmentStore query keeps the ±ε contract.
+// archive a local Pipeline uses — per-key WireCodec + Receiver instances
+// decode segments straight into a spec-selected StorageBackend, the one
+// owner of them, and every SegmentStore query keeps the ±ε contract.
 //
 //   auto server = CollectorServer::Listen("tcp(host=127.0.0.1,port=0)",
 //                                         options).value();
@@ -170,11 +170,13 @@ class CollectorServer {
   /// Keys of every stream the collector has seen, sorted.
   std::vector<std::string> Keys() const;
 
-  /// Copy of the segments received for `key` so far; NotFound for an
-  /// unknown key.
+  /// Copy of the segments archived for `key` so far (Store(key)'s chain);
+  /// NotFound for an unknown key, FailedPrecondition with a "none"
+  /// storage spec, which retains nothing.
   Result<std::vector<Segment>> Segments(std::string_view key) const;
 
-  /// Queryable reconstruction of `key`'s stream from received segments.
+  /// Queryable reconstruction of `key`'s archived segments; errors as
+  /// Segments.
   Result<PiecewiseLinearFunction> Reconstruction(std::string_view key) const;
 
   /// The stream's archive store, or nullptr for an unknown key or a
@@ -224,8 +226,6 @@ class CollectorServer {
   // Queues an ERROR and marks the connection to close once it drains.
   void FailConnection(Connection& conn, const std::string& reason);
   void CloseConnection(size_t index);
-  // Applies newly received segments of `state` to its archive handle.
-  Status ArchiveNewSegments(KeyState& state);
 
   const Options options_;
   SocketFd listener_;
@@ -234,15 +234,22 @@ class CollectorServer {
   const std::string endpoint_;
   const uint16_t port_;
 
-  // Per-key decode + archive state; outlives connections (resume).
-  struct KeyState {
+  // Per-key decode + archive state; outlives connections (resume). The
+  // receiver decodes straight into it.
+  struct KeyState final : SegmentSink {
     explicit KeyState(std::unique_ptr<WireCodec> codec_in)
-        : codec(std::move(codec_in)), receiver(codec.get()) {}
+        : codec(std::move(codec_in)), receiver(this, codec.get()) {}
+    // The receiver holds its address.
+    KeyState(const KeyState&) = delete;
+    KeyState& operator=(const KeyState&) = delete;
+    // Archives a decoded segment; a storage failure becomes `status`.
+    void OnSegment(const Segment& segment) override {
+      if (storage != nullptr && status.ok()) status = storage->Append(segment);
+    }
     std::unique_ptr<WireCodec> codec;   // decode chain state
     Receiver receiver;
     std::string codec_spec;             // canonical, from the hello
     StreamStorage* storage = nullptr;   // borrowed; null for "none"
-    size_t archived = 0;                // receiver segments archived
     uint64_t applied_seq = 0;           // dedup line for resent frames
     uint16_t dims = 0;
     bool finished = false;

@@ -9,9 +9,9 @@ namespace plastream {
 
 namespace {
 
-// The default transport: a marker that keeps every stream on today's
-// in-process Channel → Receiver → storage path. It never opens links —
-// the Pipeline checks remote() and short-circuits.
+// The default transport: a marker that keeps every stream archiving in
+// process. It never opens links — the Pipeline checks remote() and
+// short-circuits.
 class InprocTransport final : public Transport {
  public:
   bool remote() const override { return false; }

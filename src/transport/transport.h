@@ -1,12 +1,13 @@
 // Copyright (c) 2026 The plastream Authors. MIT license.
 //
 // The pluggable transport subsystem: where a pipeline's encoded frames
-// go. The default — "inproc" — keeps today's in-process path: every
-// stream's frames cross a Channel to a Receiver in the same address
-// space. The network transports ship them to a CollectorServer instead,
+// go. The default — "inproc" — keeps them in process: they are counted
+// for the wire accounting and recycled unread, while each filter archives
+// straight into local storage. The network transports ship them to a
+// CollectorServer instead,
 // turning the Pipeline into the paper's remote-producer half:
 //
-//   "inproc"                          in-process Channel → Receiver (default)
+//   "inproc"                          counted, archived locally (default)
 //   "tcp(host=10.0.0.5,port=9099)"    frames to a TCP collector
 //   "uds(path=/run/plastream.sock)"   same, over a Unix-domain socket
 //
@@ -70,10 +71,9 @@ class Transport {
   /// Transports are deleted through the base interface.
   virtual ~Transport() = default;
 
-  /// False for the in-process transport: the pipeline keeps its local
-  /// Channel → Receiver → storage path and never opens links. True for
-  /// network transports: frames leave the process and the collector owns
-  /// decode + archive state.
+  /// False for the in-process transport: the pipeline archives locally
+  /// and never opens links. True for network transports: frames leave the
+  /// process and the collector owns decode + archive state.
   virtual bool remote() const = 0;
 
   /// Establishes the transport. `codec_spec` is the canonical codec spec

@@ -1,14 +1,17 @@
 // Copyright (c) 2026 The plastream Authors. MIT license.
 //
-// End-to-end codec contract: for every registered codec, the
-// Transmitter -> Channel -> Receiver round trip inside a Pipeline yields
-// segments equal (Segment::operator==) to the filter's direct sink
-// output — across filter families, shard counts, threaded mode and
-// mid-stream Flush. Also covers the Builder::Codec surface itself.
+// End-to-end codec contract: for every registered codec, a Pipeline
+// archives segments equal (Segment::operator==) to the filter's direct
+// sink output — across filter families, shard counts, threaded mode and
+// mid-stream Flush — and bills exactly the wire bytes, frames and records
+// a standalone Transmitter produces for the same filter output. Inproc
+// frames are only counted, never decoded, so that billing is their sole
+// check. Also covers the Builder::Codec surface itself.
 
 #include <cctype>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -137,16 +140,10 @@ TEST_P(CodecPipelineTest, MidStreamFlushDrainsBufferedRecords) {
     ASSERT_TRUE(mid_filter->Append(signal.points[j]).ok());
   }
   ASSERT_TRUE(pipeline->Flush().ok());
-  // After Flush, everything the filter emitted so far is visible — even
-  // through a batching codec that was holding records back. (A trailing
-  // point segment travels as a lone break record the receiver cannot
-  // finalize until the stream continues, so allow a lag of exactly one.)
+  // Mid-stream, everything the filter emitted so far is archived — the
+  // archive does not wait for a batching codec that holds records back.
   const auto received = pipeline->Segments("k").value();
-  ASSERT_GE(received.size() + 1, mid_sink.segments().size())
-      << "Flush must drain codec buffers mid-stream";
-  for (size_t i = 0; i < received.size(); ++i) {
-    EXPECT_EQ(received[i], mid_sink.segments()[i]) << i;
-  }
+  EXPECT_EQ(received, mid_sink.segments());
   const size_t mid = received.size();
   for (size_t j = 750; j < signal.size(); ++j) {
     ASSERT_TRUE(pipeline->Append("k", signal.points[j]).ok());
@@ -184,6 +181,83 @@ INSTANTIATE_TEST_SUITE_P(EveryCodec, CodecPipelineTest,
                            }
                            return name;
                          });
+
+// ---------------------------------------------------------------------------
+// Wire accounting
+// ---------------------------------------------------------------------------
+
+class WireAccountingTest
+    : public ::testing::TestWithParam<std::tuple<const char*, size_t>> {};
+
+TEST_P(WireAccountingTest, InprocStatsEqualAStandaloneTransmitter) {
+  const auto [codec_spec, shards] = GetParam();
+  // max_lag adds provisional-line records, which are billed but archive
+  // nothing.
+  const std::vector<std::string> filter_specs{
+      "slide(eps=0.6)", "swing(eps=0.8)", "cache(eps=1.2)",
+      "slide(eps=0.5,max_lag=64)"};
+  Pipeline::Builder builder;
+  builder.Codec(codec_spec).Shards(shards);
+  std::vector<std::pair<std::string, Signal>> streams;
+  std::vector<Pipeline::StreamStats> expected;
+  for (size_t i = 0; i < filter_specs.size(); ++i) {
+    streams.emplace_back("key-" + std::to_string(i), Walk(200 + i, i * 5.0));
+    builder.PerKeySpec(streams[i].first, filter_specs[i]);
+    // The reference: the same filter emitting into its own transmitter.
+    Channel channel;
+    auto codec = MakeWireCodec(codec_spec).value();
+    Transmitter tx(&channel, codec.get());
+    auto filter = MakeFilter(filter_specs[i], &tx).value();
+    for (const DataPoint& p : streams[i].second.points) {
+      ASSERT_TRUE(filter->Append(p).ok());
+    }
+    ASSERT_TRUE(filter->Finish().ok());
+    ASSERT_TRUE(tx.Flush().ok());
+    Pipeline::StreamStats stats;
+    stats.records_sent = tx.records_sent();
+    stats.frames_sent = channel.frames_sent();
+    stats.bytes_sent = channel.bytes_sent();
+    expected.push_back(stats);
+  }
+
+  auto pipeline = builder.Build().value();
+  for (size_t j = 0; j < streams[0].second.size(); ++j) {
+    for (const auto& [key, signal] : streams) {
+      ASSERT_TRUE(pipeline->Append(key, signal.points[j]).ok());
+    }
+  }
+  ASSERT_TRUE(pipeline->Finish().ok());
+
+  Pipeline::PipelineStats total;
+  for (size_t i = 0; i < streams.size(); ++i) {
+    const auto stats = pipeline->StatsFor(streams[i].first).value();
+    EXPECT_EQ(stats.records_sent, expected[i].records_sent) << i;
+    EXPECT_EQ(stats.frames_sent, expected[i].frames_sent) << i;
+    EXPECT_EQ(stats.bytes_sent, expected[i].bytes_sent) << i;
+    total.records_sent += expected[i].records_sent;
+    total.frames_sent += expected[i].frames_sent;
+    total.bytes_sent += expected[i].bytes_sent;
+  }
+  const Pipeline::PipelineStats stats = pipeline->Stats();
+  EXPECT_EQ(stats.records_sent, total.records_sent);
+  EXPECT_EQ(stats.frames_sent, total.frames_sent);
+  EXPECT_EQ(stats.bytes_sent, total.bytes_sent);
+  EXPECT_GT(stats.bytes_sent, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CodecsByShards, WireAccountingTest,
+    ::testing::Combine(::testing::Values("frame", "delta",
+                                         "batch(n=32,crc=crc32c)"),
+                       ::testing::Values(size_t{1}, size_t{4})),
+    [](const ::testing::TestParamInfo<std::tuple<const char*, size_t>>&
+           info) {
+      std::string name = std::get<0>(info.param);
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name + "_shards" + std::to_string(std::get<1>(info.param));
+    });
 
 // ---------------------------------------------------------------------------
 // Builder surface

@@ -19,6 +19,7 @@
 
 #include "common/rng.h"
 #include "core/reconstruction.h"
+#include "core/segment_sink.h"
 #include "core/segment_store.h"
 #include "core/swing_filter.h"
 #include "geometry/point.h"
@@ -207,17 +208,18 @@ TEST(CrossValidationTest, WireRoundTripOverRandomChains) {
     Channel channel;
     Transmitter tx(&channel);
     for (const Segment& seg : chain) tx.OnSegment(seg);
-    Receiver rx;
+    CollectingSink received;
+    Receiver rx(&received);
     ASSERT_TRUE(rx.Poll(&channel).ok());
     ASSERT_TRUE(rx.FinishStream().ok());
-    ASSERT_EQ(rx.segments().size(), chain.size()) << "trial " << trial;
+    const std::vector<Segment>& got = received.segments();
+    ASSERT_EQ(got.size(), chain.size()) << "trial " << trial;
     for (size_t k = 0; k < chain.size(); ++k) {
-      EXPECT_EQ(rx.segments()[k].t_start, chain[k].t_start);
-      EXPECT_EQ(rx.segments()[k].t_end, chain[k].t_end);
-      EXPECT_EQ(rx.segments()[k].x_start, chain[k].x_start);
-      EXPECT_EQ(rx.segments()[k].x_end, chain[k].x_end);
-      EXPECT_EQ(rx.segments()[k].connected_to_prev,
-                chain[k].connected_to_prev);
+      EXPECT_EQ(got[k].t_start, chain[k].t_start);
+      EXPECT_EQ(got[k].t_end, chain[k].t_end);
+      EXPECT_EQ(got[k].x_start, chain[k].x_start);
+      EXPECT_EQ(got[k].x_end, chain[k].x_end);
+      EXPECT_EQ(got[k].connected_to_prev, chain[k].connected_to_prev);
     }
     EXPECT_EQ(tx.records_sent(),
               CountRecordings(chain, RecordingCostModel::kPiecewiseLinear));

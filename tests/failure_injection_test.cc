@@ -173,10 +173,13 @@ TEST(TransportFailureTest, ReceiverStopsAtCorruptFrameButKeepsState) {
   channel.Push(EncodeWireRecord(start));
   channel.Push(EncodeWireRecord(end));
   channel.CorruptLastFrame(3);
-  Receiver rx;
+  CollectingSink received;
+  Receiver rx(&received);
   EXPECT_EQ(rx.Poll(&channel).code(), StatusCode::kCorruption);
-  // The first (valid) record was applied before the corruption.
+  // The first (valid) record was applied before the corruption; the
+  // segment it starts was never completed, so nothing was emitted.
   EXPECT_EQ(rx.records_received(), 1u);
+  EXPECT_TRUE(received.segments().empty());
 }
 
 TEST(EdgeCaseTest, HugeTimestampsStayStable) {

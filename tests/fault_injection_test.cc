@@ -398,11 +398,103 @@ TEST(PipelineHealthTest, ReportsStorageDegradation) {
       << health.cause;
   EXPECT_GE(health.storage.segments_dropped, 1u);
   EXPECT_GE(health.storage.write_failures, 1u);
-  // Stats carries the same report, and the receiver-side segments are all
-  // still queryable.
+  // Stats carries the same report, and the archived segments are all still
+  // queryable from the in-memory store.
   EXPECT_EQ(pipeline->Stats().storage_health.state,
             StorageHealth::State::kDegraded);
   EXPECT_GE(pipeline->Segments("k")->size(), 1u);
+  std::remove(path.c_str());
+}
+
+// --- Pipeline storage-error propagation -------------------------------------
+
+// The archive's write schedule for the tests below: write 0 is the
+// stream-open record, write n the record of segment n-1. cache(eps=0.1)
+// over values 10 apart closes one segment per appended point, so the
+// Append of point 3 archives segment 2 — write 3, the first ENOSPC.
+constexpr int kFailingAppend = 3;
+
+std::unique_ptr<Pipeline> BuildFileOnFullDisk(const std::string& path,
+                                              const std::string& on_error,
+                                              bool threaded) {
+  Pipeline::Builder builder;
+  builder.DefaultSpec("cache(eps=0.1)")
+      .Storage("file(path=" + path + ",on_error=" + on_error + ")");
+  if (threaded) builder.Threads();
+  return builder.Build().value();
+}
+
+FaultPlan DiskFullFrom(uint64_t write) {
+  FaultPlan plan;
+  plan.enospc_after = write;
+  plan.enospc_for = 100000;
+  return plan;
+}
+
+TEST(PipelineStorageErrorTest, LockedAppendReturnsTheArchiveFailureStickily) {
+  const std::string path = TempPath("storage_error_locked");
+  std::remove(path.c_str());
+  {
+    ScopedFaultInjection scope(DiskFullFrom(kFailingAppend));
+    auto pipeline = BuildFileOnFullDisk(path, "fail", /*threaded=*/false);
+    for (int i = 0; i < kFailingAppend; ++i) {
+      ASSERT_TRUE(pipeline->Append("k", i, i * 10.0).ok()) << i;
+    }
+    // The Append whose filter output hit the full disk reports it ...
+    const Status failed = pipeline->Append("k", kFailingAppend, 30.0);
+    EXPECT_TRUE(IsDiskFull(failed)) << failed.ToString();
+    // ... and so does every later call.
+    const Status later = pipeline->Append("k", kFailingAppend + 1, 40.0);
+    EXPECT_TRUE(IsDiskFull(later)) << later.ToString();
+    EXPECT_TRUE(IsDiskFull(pipeline->Flush()));
+    EXPECT_TRUE(IsDiskFull(pipeline->Finish()));
+    EXPECT_TRUE(IsDiskFull(pipeline->Finish()));
+    EXPECT_FALSE(pipeline->finished());
+    EXPECT_EQ(pipeline->Health().state, StorageHealth::State::kFailing);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PipelineStorageErrorTest, ThreadedArchiveFailureSurfacesAtFlushAndFinish) {
+  const std::string path = TempPath("storage_error_threaded");
+  std::remove(path.c_str());
+  {
+    ScopedFaultInjection scope(DiskFullFrom(kFailingAppend));
+    auto pipeline = BuildFileOnFullDisk(path, "fail", /*threaded=*/true);
+    for (int i = 0; i < 8; ++i) {
+      // Enqueueing succeeds until the shard worker has hit the failure;
+      // from then on Append reports it too.
+      const Status appended = pipeline->Append("k", i, i * 10.0);
+      EXPECT_TRUE(appended.ok() || IsDiskFull(appended))
+          << appended.ToString();
+    }
+    EXPECT_TRUE(IsDiskFull(pipeline->Flush()));
+    EXPECT_TRUE(IsDiskFull(pipeline->Finish()));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PipelineStorageErrorTest, DegradeKeepsIngestAndTheDroppedSegments) {
+  const std::string path = TempPath("storage_error_degrade");
+  std::remove(path.c_str());
+  {
+    ScopedFaultInjection scope(DiskFullFrom(kFailingAppend));
+    auto pipeline = BuildFileOnFullDisk(path, "degrade", /*threaded=*/false);
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(pipeline->Append("k", i, i * 10.0).ok()) << i;
+    }
+    ASSERT_TRUE(pipeline->Flush().ok());
+    ASSERT_TRUE(pipeline->Finish().ok());
+    // One segment per point: the ones the medium dropped are still in the
+    // queryable store.
+    const SegmentStore* store = pipeline->Store("k");
+    ASSERT_NE(store, nullptr);
+    EXPECT_EQ(store->segment_count(), 8u);
+    EXPECT_EQ(pipeline->Segments("k")->size(), 8u);
+    const Pipeline::HealthSnapshot health = pipeline->Health();
+    EXPECT_EQ(health.state, StorageHealth::State::kDegraded);
+    EXPECT_GE(health.storage.segments_dropped, 1u);
+  }
   std::remove(path.c_str());
 }
 

@@ -223,6 +223,36 @@ TEST(NetPipelineTest, RemoteModeDisablesLocalQueries) {
   std::remove(path.c_str());
 }
 
+TEST(NetPipelineTest, CollectorWithoutArchiveRetainsNoSegments) {
+  const std::string path = TempUdsPath("collector_none");
+  CollectorServer::Options options;
+  options.storage_spec = "none";
+  auto listened = CollectorServer::Listen("uds(path=" + path + ")", options);
+  ASSERT_TRUE(listened.ok()) << listened.status().message();
+  ScopedCollector server(std::move(listened).value());
+
+  auto pipeline = Pipeline::Builder()
+                      .DefaultSpec("slide(eps=1)")
+                      .Transport(server->endpoint())
+                      .Build()
+                      .value();
+  ASSERT_TRUE(pipeline->Append("k", 0.0, 1.0).ok());
+  ASSERT_TRUE(pipeline->Append("k", 1.0, 2.0).ok());
+  ASSERT_TRUE(pipeline->Finish().ok());
+
+  // The collector decoded and applied everything, but with nothing to
+  // archive into, no copy of the segments exists to read back.
+  EXPECT_TRUE(server->KeyStatus("k").ok());
+  EXPECT_EQ(server->GetStats().streams_finished, 1u);
+  EXPECT_EQ(server->Segments("k").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server->Reconstruction("k").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server->Store("k"), nullptr);
+  EXPECT_EQ(server->Segments("nope").status().code(), StatusCode::kNotFound);
+  std::remove(path.c_str());
+}
+
 TEST(NetPipelineTest, RemoteTransportRejectsLocalStorage) {
   auto built = Pipeline::Builder()
                    .DefaultSpec("slide(eps=1)")

@@ -123,8 +123,16 @@ TEST(PipelineTest, StorageNoneDisablesTheArchive) {
   ASSERT_TRUE(pipeline->Append("k", 0.0, 1.0).ok());
   ASSERT_TRUE(pipeline->Finish().ok());
   EXPECT_EQ(pipeline->Store("k"), nullptr);
-  // Receiver-side segments are still available.
-  EXPECT_EQ(pipeline->Segments("k")->size(), 1u);
+  // Nothing is retained, so there are no segments to read back; the
+  // filter still ran and counted what it emitted.
+  EXPECT_EQ(pipeline->Segments("k").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(pipeline->Reconstruction("k").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(pipeline->Segments("unknown").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(pipeline->Stats().segments, 1u);
+  EXPECT_EQ(pipeline->StatsFor("k")->segments, 1u);
 }
 
 TEST(PipelineTest, UnknownKeyWithoutDefaultIsNotFound) {

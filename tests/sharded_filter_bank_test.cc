@@ -174,7 +174,7 @@ TEST(ShardedFilterBankTest, PostAppendHookRunsPerPoint) {
   std::atomic<int> calls{0};
   ShardedFilterBank::Options options;
   options.shards = 4;
-  options.post_append = [&calls](std::string_view) {
+  options.post_append = [&calls](StreamContext*) {
     ++calls;
     return Status::OK();
   };
@@ -227,7 +227,7 @@ TEST(ShardedFilterBankTest, QueueFullAppendWakesOnFinishAll) {
   options.shards = 1;
   options.threaded = true;
   options.queue_capacity = 1;
-  options.post_append = [&](std::string_view) {
+  options.post_append = [&](StreamContext*) {
     ++hook_entered;
     released.wait();  // hold the worker so the queue stays full
     return Status::OK();

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/reconstruction.h"
+#include "core/segment_sink.h"
 #include "core/slide_filter.h"
 #include "core/swing_filter.h"
 #include "datagen/random_walk.h"
@@ -151,7 +153,8 @@ TEST(StreamRoundTripTest, SlideFilterSegmentsSurviveTheWire) {
   auto filter = SlideFilter::Create(FilterOptions::Scalar(0.75),
                                     SlideHullMode::kConvexHull, &tx)
                     .value();
-  Receiver rx;
+  CollectingSink received;
+  Receiver rx(&received);
   for (const DataPoint& p : signal.points) {
     ASSERT_TRUE(filter->Append(p).ok());
     ASSERT_TRUE(rx.Poll(&channel).ok());  // interleaved polling
@@ -170,13 +173,14 @@ TEST(StreamRoundTripTest, SlideFilterSegmentsSurviveTheWire) {
   }
   ASSERT_TRUE(shadow->Finish().ok());
   const auto local = shadow->TakeSegments();
-  ASSERT_EQ(rx.segments().size(), local.size());
+  const std::vector<Segment>& got = received.segments();
+  ASSERT_EQ(got.size(), local.size());
   for (size_t k = 0; k < local.size(); ++k) {
-    EXPECT_EQ(rx.segments()[k].connected_to_prev, local[k].connected_to_prev);
-    EXPECT_DOUBLE_EQ(rx.segments()[k].t_start, local[k].t_start);
-    EXPECT_DOUBLE_EQ(rx.segments()[k].t_end, local[k].t_end);
-    EXPECT_DOUBLE_EQ(rx.segments()[k].x_start[0], local[k].x_start[0]);
-    EXPECT_DOUBLE_EQ(rx.segments()[k].x_end[0], local[k].x_end[0]);
+    EXPECT_EQ(got[k].connected_to_prev, local[k].connected_to_prev);
+    EXPECT_DOUBLE_EQ(got[k].t_start, local[k].t_start);
+    EXPECT_DOUBLE_EQ(got[k].t_end, local[k].t_end);
+    EXPECT_DOUBLE_EQ(got[k].x_start[0], local[k].x_start[0]);
+    EXPECT_DOUBLE_EQ(got[k].x_end[0], local[k].x_end[0]);
   }
   // Wire records match the recording-count accounting exactly.
   EXPECT_EQ(tx.records_sent(),
@@ -193,10 +197,11 @@ TEST(StreamRoundTripTest, ReceiverReconstructionHonorsPrecision) {
       SwingFilter::Create(FilterOptions::Scalar(eps), &tx).value();
   for (const DataPoint& p : signal.points) ASSERT_TRUE(filter->Append(p).ok());
   ASSERT_TRUE(filter->Finish().ok());
-  Receiver rx;
+  CollectingSink received;
+  Receiver rx(&received);
   ASSERT_TRUE(rx.Poll(&channel).ok());
   ASSERT_TRUE(rx.FinishStream().ok());
-  const auto approx = rx.Reconstruction();
+  const auto approx = PiecewiseLinearFunction::Make(received.segments());
   ASSERT_TRUE(approx.ok());
   const std::vector<double> epsilon{eps};
   EXPECT_TRUE(VerifyPrecision(signal, *approx, epsilon).ok());
@@ -211,12 +216,15 @@ TEST(StreamRoundTripTest, PointSegmentSurvivesTheWire) {
           .value();
   ASSERT_TRUE(filter->Append(DataPoint::Scalar(5, 9)).ok());
   ASSERT_TRUE(filter->Finish().ok());
-  Receiver rx;
+  CollectingSink received;
+  Receiver rx(&received);
   ASSERT_TRUE(rx.Poll(&channel).ok());
+  // The lone break is pending until end-of-stream materializes it.
+  EXPECT_TRUE(received.segments().empty());
   ASSERT_TRUE(rx.FinishStream().ok());
-  ASSERT_EQ(rx.segments().size(), 1u);
-  EXPECT_TRUE(rx.segments()[0].IsPoint());
-  EXPECT_DOUBLE_EQ(rx.segments()[0].x_start[0], 9.0);
+  ASSERT_EQ(received.segments().size(), 1u);
+  EXPECT_TRUE(received.segments()[0].IsPoint());
+  EXPECT_DOUBLE_EQ(received.segments()[0].x_start[0], 9.0);
 }
 
 TEST(StreamRoundTripTest, BorrowedCodecDrivesTransmitterAndReceiver) {
@@ -226,7 +234,8 @@ TEST(StreamRoundTripTest, BorrowedCodecDrivesTransmitterAndReceiver) {
   Channel channel;
   auto codec = MakeWireCodec("batch(n=16)").value();
   Transmitter tx(&channel, codec.get());
-  Receiver rx(codec.get());
+  CollectingSink received;
+  Receiver rx(&received, codec.get());
   auto filter = SlideFilter::Create(FilterOptions::Scalar(0.6),
                                     SlideHullMode::kConvexHull, &tx)
                     .value();
@@ -246,7 +255,7 @@ TEST(StreamRoundTripTest, BorrowedCodecDrivesTransmitterAndReceiver) {
     ASSERT_TRUE(shadow->Append(p).ok());
   }
   ASSERT_TRUE(shadow->Finish().ok());
-  EXPECT_EQ(rx.segments(), shadow->TakeSegments());
+  EXPECT_EQ(received.segments(), shadow->TakeSegments());
   EXPECT_TRUE(tx.status().ok());
 }
 
@@ -260,7 +269,8 @@ TEST(StreamRoundTripTest, ReceiverDetectsCorruptedFrame) {
   ASSERT_TRUE(filter->Finish().ok());
   ASSERT_GT(channel.queued(), 0u);
   ASSERT_TRUE(channel.CorruptLastFrame(4, 0x80));
-  Receiver rx;
+  CollectingSink received;
+  Receiver rx(&received);
   EXPECT_EQ(rx.Poll(&channel).code(), StatusCode::kCorruption);
 }
 
@@ -271,8 +281,10 @@ TEST(StreamRoundTripTest, SegmentEndWithoutStartIsCorruption) {
   record.t = 0.0;
   record.x = {1.0};
   channel.Push(EncodeWireRecord(record));
-  Receiver rx;
+  CollectingSink received;
+  Receiver rx(&received);
   EXPECT_EQ(rx.Poll(&channel).code(), StatusCode::kCorruption);
+  EXPECT_TRUE(received.segments().empty());
 }
 
 TEST(StreamRoundTripTest, CoverageAdvancesWithSegments) {
@@ -280,7 +292,8 @@ TEST(StreamRoundTripTest, CoverageAdvancesWithSegments) {
   Transmitter tx(&channel);
   auto filter =
       SwingFilter::Create(FilterOptions::Scalar(0.01), &tx).value();
-  Receiver rx;
+  CollectingSink received;
+  Receiver rx(&received);
   for (int j = 0; j < 50; ++j) {
     ASSERT_TRUE(
         filter->Append(DataPoint::Scalar(j, (j % 5) * 2.0)).ok());
@@ -288,6 +301,8 @@ TEST(StreamRoundTripTest, CoverageAdvancesWithSegments) {
   ASSERT_TRUE(rx.Poll(&channel).ok());
   EXPECT_GT(rx.coverage_t(), 0.0);
   EXPECT_LT(rx.coverage_t(), 50.0);
+  ASSERT_FALSE(received.segments().empty());
+  EXPECT_EQ(rx.coverage_t(), received.segments().back().t_end);
 }
 
 }  // namespace

@@ -235,7 +235,8 @@ TEST(CollectorServerTest, UdsRoundTripWithMidStreamDisconnect) {
       EncodeFrames("delta", records);
   ASSERT_GE(frames.size(), 4u);
   auto reference_codec = CodecRegistry::Global().MakeCodec("delta").value();
-  Receiver reference(reference_codec.get());
+  CollectingSink decoded;
+  Receiver reference(&decoded, reference_codec.get());
   for (const auto& frame : frames) {
     ASSERT_TRUE(reference.ApplyFrame(frame).ok());
   }
@@ -271,7 +272,7 @@ TEST(CollectorServerTest, UdsRoundTripWithMidStreamDisconnect) {
   // Byte-identical resume: collector segments == local receiver segments.
   const auto segments = server->Segments("host1.cpu");
   ASSERT_TRUE(segments.ok()) << segments.status().message();
-  EXPECT_EQ(segments.value(), reference.segments());
+  EXPECT_EQ(segments.value(), decoded.segments());
   EXPECT_TRUE(server->KeyStatus("host1.cpu").ok());
 
   const auto reconstruction = server->Reconstruction("host1.cpu");
