@@ -30,7 +30,12 @@
 //    frame recycling) allocates zero times per point in steady state;
 //  - a whole inproc Pipeline with storage=none (swing, frame codec, one
 //    shard) allocates zero times over a measured 10^6-point pass, so no
-//    layer keeps a growing per-segment copy.
+//    layer keeps a growing per-segment copy;
+//  - the same pipeline onto a file(codec=delta) archive allocates at most
+//    64 times over its measured 10^6-point pass — the in-memory store's
+//    geometric growth, nothing per archived segment.
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -38,6 +43,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <new>
 #include <span>
@@ -376,16 +382,24 @@ struct PipelineResult {
   uint64_t allocations = 0;
 };
 
+// Allocations the file-archive probe may make over its measured pass:
+// room for the SegmentStore's geometric growth (a few doublings of one
+// vector), and nothing per segment.
+constexpr uint64_t kArchiveAllocBudget = 64;
+
 // Bounded-memory probe: Pipeline::Append through a whole inproc pipeline
-// with nothing to archive — bank, swing filter, transmitter, frame codec
-// and channel recycling. A warm pass sizes every buffer; the measured
-// 10^6-point pass must then not allocate at all, so any layer that keeps
-// a per-segment copy (a growing vector reallocates) fails the gate.
-PipelineResult MeasurePipeline(const Config& config) {
+// — bank, swing filter, transmitter, frame codec and channel recycling,
+// then `storage`. A warm pass sizes every buffer; the measured
+// 10^6-point pass is then counted. With storage=none nothing may
+// allocate at all, so any layer that keeps a per-segment copy (a growing
+// vector reallocates) fails the gate; with a file archive only the
+// in-memory store's growth may.
+PipelineResult MeasurePipeline(const Config& config,
+                               const std::string& storage) {
   auto pipeline = ValueOrDie(Pipeline::Builder()
                                  .DefaultSpec("swing(eps=0.5)")
                                  .Codec("frame")
-                                 .Storage("none")
+                                 .Storage(storage)
                                  .Shards(1)
                                  .Build(),
                              "Pipeline::Build");
@@ -619,12 +633,33 @@ int Main(int argc, char** argv) {
   }
 
   std::printf("\nPipeline, swing/frame/storage=none, inproc, 1 shard:\n");
-  const PipelineResult pipe = MeasurePipeline(config);
+  const PipelineResult pipe = MeasurePipeline(config, "none");
   const bool pipeline_ok = !config.gates || pipe.allocations == 0;
   std::printf("  %zu points: %14.0f points/sec  %llu allocs%s\n", pipe.points,
               pipe.points_per_sec,
               static_cast<unsigned long long>(pipe.allocations),
               pipeline_ok ? "" : "  <- GATE: expected 0 allocs");
+
+  std::printf("\nPipeline, swing/frame/file(codec=delta), inproc, 1 shard:\n");
+  const std::string archive_path =
+      (std::filesystem::temp_directory_path() /
+       ("bench_hot_path_" + std::to_string(::getpid()) + ".plar"))
+          .string();
+  const PipelineResult archive =
+      MeasurePipeline(config, "file(path=" + archive_path + ",codec=delta)");
+  std::filesystem::remove(archive_path);
+  const bool archive_ok =
+      !config.gates || archive.allocations <= kArchiveAllocBudget;
+  char archive_note[64] = "";
+  if (!archive_ok) {
+    std::snprintf(archive_note, sizeof(archive_note),
+                  "  <- GATE: expected <= %llu allocs",
+                  static_cast<unsigned long long>(kArchiveAllocBudget));
+  }
+  std::printf("  %zu points: %14.0f points/sec  %llu allocs%s\n",
+              archive.points, archive.points_per_sec,
+              static_cast<unsigned long long>(archive.allocations),
+              archive_note);
 
   std::printf("\nSharded ingest, locked mode, %zu keys, batch=256:\n",
               config.keys);
@@ -709,9 +744,15 @@ int Main(int argc, char** argv) {
     }
     std::fprintf(out,
                  "  ],\n  \"pipeline_none\": {\"points\": %zu, "
-                 "\"points_per_sec\": %.0f, \"allocations\": %llu},\n",
+                 "\"points_per_sec\": %.0f, \"allocations\": %llu},\n"
+                 "  \"pipeline_file\": {\"points\": %zu, "
+                 "\"points_per_sec\": %.0f, \"allocations\": %llu, "
+                 "\"gate_max_allocations\": %llu},\n",
                  pipe.points, pipe.points_per_sec,
-                 static_cast<unsigned long long>(pipe.allocations));
+                 static_cast<unsigned long long>(pipe.allocations),
+                 archive.points, archive.points_per_sec,
+                 static_cast<unsigned long long>(archive.allocations),
+                 static_cast<unsigned long long>(kArchiveAllocBudget));
     std::fprintf(out,
                  "  \"sharded\": {\"keys\": %zu, \"batch\": 256, "
                  "\"single_points_per_sec\": %.0f, "
@@ -725,7 +766,8 @@ int Main(int argc, char** argv) {
                  "  \"gates\": {\"zero_alloc\": %s, \"throughput\": %s, "
                  "\"identical\": %s, \"guard_pass_alloc\": %s, "
                  "\"guard_pass_overhead\": %s, \"simd_speedup\": %s, "
-                 "\"encode_zero_alloc\": %s, \"pipeline_zero_alloc\": %s}\n}\n",
+                 "\"encode_zero_alloc\": %s, \"pipeline_zero_alloc\": %s, "
+                 "\"archive_alloc\": %s}\n}\n",
                  config.keys, sharded.single_pps, sharded.batched_pps,
                  sharded.speedup, sharded.identical ? "true" : "false",
                  guard.none_pps, guard.pass_pps, pass_ratio,
@@ -739,7 +781,8 @@ int Main(int argc, char** argv) {
                  guard_alloc_ok ? "true" : "false",
                  guard_overhead_ok ? "true" : "false",
                  simd_ok ? "true" : "false", encode_ok ? "true" : "false",
-                 pipeline_ok ? "true" : "false");
+                 pipeline_ok ? "true" : "false",
+                 archive_ok ? "true" : "false");
     std::fclose(out);
     std::printf("\nwrote %s\n", config.json_path.c_str());
   }
@@ -791,8 +834,18 @@ int Main(int argc, char** argv) {
                  static_cast<unsigned long long>(pipe.allocations),
                  pipe.points);
   }
+  if (!archive_ok) {
+    std::fprintf(stderr,
+                 "\nGATE FAILED: a file-archive pipeline allocated %llu times "
+                 "over %zu points (budget %llu); archiving a segment must "
+                 "not allocate\n",
+                 static_cast<unsigned long long>(archive.allocations),
+                 archive.points,
+                 static_cast<unsigned long long>(kArchiveAllocBudget));
+  }
   return (zero_alloc_ok && throughput_ok && identical_ok && guard_alloc_ok &&
-          guard_overhead_ok && simd_ok && encode_ok && pipeline_ok)
+          guard_overhead_ok && simd_ok && encode_ok && pipeline_ok &&
+          archive_ok)
              ? 0
              : 1;
 }

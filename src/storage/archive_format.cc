@@ -2,7 +2,10 @@
 
 #include "storage/archive_format.h"
 
+#include <sys/stat.h>
+
 #include <cstdio>
+#include <memory>
 #include <utility>
 
 #include "stream/wire_bytes.h"
@@ -24,15 +27,69 @@ constexpr uint8_t kDeltaFlagMask = 0x1F;
 // Frame segment-body flags.
 constexpr uint8_t kFrameConnected = 0x01;
 
-// True when every element of `values` has a compact integral form,
-// filling `*out` with the int64 mappings.
-bool AllCompactIntegral(std::span<const double> values,
-                        std::vector<int64_t>* out) {
-  out->resize(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (!IsCompactIntegral(values[i], &(*out)[i])) return false;
+// True when every element of `values` has a compact integral form.
+bool AllCompactIntegral(std::span<const double> values) {
+  int64_t unused = 0;
+  for (const double v : values) {
+    if (!IsCompactIntegral(v, &unused)) return false;
   }
   return !values.empty();
+}
+
+// Appends `values` as zigzag varints when `integral` (every value passed
+// AllCompactIntegral, so the int64 cast is exact), else as raw f64s.
+void PutValues(std::span<const double> values, bool integral,
+               std::vector<uint8_t>* out) {
+  for (const double v : values) {
+    if (integral) {
+      PutVarint(out, ZigZag(static_cast<int64_t>(v)));
+    } else {
+      PutF64(out, v);
+    }
+  }
+}
+
+// Record framing, in place at the end of `*out`. BeginRecord appends the
+// 4-byte length placeholder and the payload's stream id and kind, and
+// returns the record's offset; the caller appends the rest of the payload;
+// EndRecord patches the length and appends the CRC32C over the payload.
+size_t BeginRecord(uint64_t stream_id, uint8_t kind,
+                   std::vector<uint8_t>* out) {
+  const size_t start = out->size();
+  PutU32(out, 0);
+  PutVarint(out, stream_id);
+  out->push_back(kind);
+  return start;
+}
+
+void EndRecord(size_t start, std::vector<uint8_t>* out) {
+  const size_t len = out->size() - start - 4;
+  uint8_t* const record = out->data() + start;
+  for (int i = 0; i < 4; ++i) {
+    record[i] = static_cast<uint8_t>(len >> (8 * i));
+  }
+  PutU32(out, Crc32c(std::span<const uint8_t>(record + 4, len)));
+}
+
+// Reads the whole file at `path` with one read sized by fstat. A writer
+// appending concurrently only adds bytes past the size snapshot.
+Status ReadArchiveFile(const std::string& path,
+                       std::unique_ptr<uint8_t[]>* bytes, size_t* size) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    return Status::IOError("cannot open archive '" + path + "' for reading");
+  }
+  struct stat st {};
+  bool ok = ::fstat(fileno(file), &st) == 0 && S_ISREG(st.st_mode);
+  if (ok) {
+    const auto expected = static_cast<size_t>(st.st_size);
+    *bytes = std::make_unique_for_overwrite<uint8_t[]>(expected);
+    *size = std::fread(bytes->get(), 1, expected, file);
+    ok = std::ferror(file) == 0;
+  }
+  std::fclose(file);
+  if (!ok) return Status::IOError("error reading archive '" + path + "'");
+  return Status::OK();
 }
 
 }  // namespace
@@ -89,30 +146,26 @@ Result<ArchiveSegmentCodec> DecodeArchiveHeader(
   return static_cast<ArchiveSegmentCodec>(codec);
 }
 
-std::vector<uint8_t> FrameArchiveRecord(std::span<const uint8_t> payload) {
-  std::vector<uint8_t> record;
-  record.reserve(payload.size() + 8);
-  PutU32(&record, static_cast<uint32_t>(payload.size()));
-  record.insert(record.end(), payload.begin(), payload.end());
-  PutU32(&record, Crc32c(payload));
-  return record;
-}
-
-std::vector<uint8_t> EncodeStreamOpenPayload(uint64_t stream_id,
-                                             std::string_view key,
-                                             size_t dimensions) {
-  std::vector<uint8_t> payload;
-  PutVarint(&payload, stream_id);
-  payload.push_back(kArchiveRecordStreamOpen);
-  PutVarint(&payload, key.size());
-  payload.insert(payload.end(), key.begin(), key.end());
-  PutVarint(&payload, dimensions);
-  return payload;
+void AppendStreamOpenRecord(uint64_t stream_id, std::string_view key,
+                            size_t dimensions, std::vector<uint8_t>* out) {
+  const size_t start = BeginRecord(stream_id, kArchiveRecordStreamOpen, out);
+  PutVarint(out, key.size());
+  out->insert(out->end(), key.begin(), key.end());
+  PutVarint(out, dimensions);
+  EndRecord(start, out);
 }
 
 ArchiveSegmentCoder::ArchiveSegmentCoder(ArchiveSegmentCodec codec,
                                          size_t dimensions)
     : codec_(codec), dimensions_(dimensions) {}
+
+void ArchiveSegmentCoder::AppendRecord(uint64_t stream_id,
+                                       const Segment& segment,
+                                       std::vector<uint8_t>* out) {
+  const size_t start = BeginRecord(stream_id, kArchiveRecordSegment, out);
+  EncodeBody(segment, out);
+  EndRecord(start, out);
+}
 
 void ArchiveSegmentCoder::EncodeBody(const Segment& segment,
                                      std::vector<uint8_t>* out) {
@@ -120,27 +173,26 @@ void ArchiveSegmentCoder::EncodeBody(const Segment& segment,
     out->push_back(segment.connected_to_prev ? kFrameConnected : 0);
     PutF64(out, segment.t_start);
     PutF64(out, segment.t_end);
-    for (const double v : segment.x_start) PutF64(out, v);
-    for (const double v : segment.x_end) PutF64(out, v);
+    PutValues(segment.x_start, false, out);
+    PutValues(segment.x_end, false, out);
   } else {
     uint8_t flags = 0;
     int64_t dt_start = 0;
     bool start_time_delta = false;
-    std::vector<int64_t> start_int;
     bool start_varint = false;
     if (segment.connected_to_prev) {
       // Start point == previous end point (SegmentStore-validated), so it
       // costs zero bytes; the decoder replays it from chain state.
       flags |= kConnected;
     } else {
-      if (has_prev_) {
-        const double dt = segment.t_start - prev_t_end_;
+      if (chain_.has_prev) {
+        const double dt = segment.t_start - chain_.t_end;
         start_time_delta = IsCompactIntegral(dt, &dt_start) &&
-                           prev_t_end_ + static_cast<double>(dt_start) ==
+                           chain_.t_end + static_cast<double>(dt_start) ==
                                segment.t_start;
       }
       if (start_time_delta) flags |= kStartTimeDelta;
-      start_varint = AllCompactIntegral(segment.x_start, &start_int);
+      start_varint = AllCompactIntegral(segment.x_start);
       if (start_varint) flags |= kStartValuesVarint;
     }
     int64_t dt_end = 0;
@@ -149,8 +201,7 @@ void ArchiveSegmentCoder::EncodeBody(const Segment& segment,
         IsCompactIntegral(de, &dt_end) &&
         segment.t_start + static_cast<double>(dt_end) == segment.t_end;
     if (end_time_delta) flags |= kEndTimeDelta;
-    std::vector<int64_t> end_int;
-    const bool end_varint = AllCompactIntegral(segment.x_end, &end_int);
+    const bool end_varint = AllCompactIntegral(segment.x_end);
     if (end_varint) flags |= kEndValuesVarint;
 
     out->push_back(flags);
@@ -160,35 +211,20 @@ void ArchiveSegmentCoder::EncodeBody(const Segment& segment,
       } else {
         PutF64(out, segment.t_start);
       }
-      for (size_t i = 0; i < segment.x_start.size(); ++i) {
-        if (start_varint) {
-          PutVarint(out, ZigZag(start_int[i]));
-        } else {
-          PutF64(out, segment.x_start[i]);
-        }
-      }
+      PutValues(segment.x_start, start_varint, out);
     }
     if (end_time_delta) {
       PutVarint(out, ZigZag(dt_end));
     } else {
       PutF64(out, segment.t_end);
     }
-    for (size_t i = 0; i < segment.x_end.size(); ++i) {
-      if (end_varint) {
-        PutVarint(out, ZigZag(end_int[i]));
-      } else {
-        PutF64(out, segment.x_end[i]);
-      }
-    }
+    PutValues(segment.x_end, end_varint, out);
   }
-  has_prev_ = true;
-  prev_t_end_ = segment.t_end;
-  prev_x_end_ = segment.x_end;
+  Prime(segment);
 }
 
-Result<Segment> ArchiveSegmentCoder::DecodeBody(
-    std::span<const uint8_t> body) {
-  Segment segment;
+Status ArchiveSegmentCoder::DecodeBody(std::span<const uint8_t> body,
+                                       Segment* segment) {
   ByteReader reader(body);
   uint8_t flags = 0;
   if (!reader.ReadU8(&flags)) {
@@ -198,21 +234,22 @@ Result<Segment> ArchiveSegmentCoder::DecodeBody(
     if ((flags & ~kFrameConnected) != 0) {
       return Status::Corruption("frame segment body with reserved flags");
     }
-    segment.connected_to_prev = (flags & kFrameConnected) != 0;
-    if (segment.connected_to_prev && !has_prev_) {
+    segment->connected_to_prev = (flags & kFrameConnected) != 0;
+    if (segment->connected_to_prev && !chain_.has_prev) {
       return Status::Corruption("connected segment with no predecessor");
     }
-    segment.x_start.resize(dimensions_);
-    segment.x_end.resize(dimensions_);
-    if (!reader.ReadF64(&segment.t_start) || !reader.ReadF64(&segment.t_end)) {
+    segment->x_start.resize(dimensions_);
+    segment->x_end.resize(dimensions_);
+    if (!reader.ReadF64(&segment->t_start) ||
+        !reader.ReadF64(&segment->t_end)) {
       return Status::Corruption("frame segment body times truncated");
     }
-    for (double& v : segment.x_start) {
+    for (double& v : segment->x_start) {
       if (!reader.ReadF64(&v)) {
         return Status::Corruption("frame segment body values truncated");
       }
     }
-    for (double& v : segment.x_end) {
+    for (double& v : segment->x_end) {
       if (!reader.ReadF64(&v)) {
         return Status::Corruption("frame segment body values truncated");
       }
@@ -221,20 +258,20 @@ Result<Segment> ArchiveSegmentCoder::DecodeBody(
     if ((flags & ~kDeltaFlagMask) != 0) {
       return Status::Corruption("delta segment body with reserved flags");
     }
-    segment.connected_to_prev = (flags & kConnected) != 0;
-    if (segment.connected_to_prev) {
-      if (!has_prev_) {
+    segment->connected_to_prev = (flags & kConnected) != 0;
+    if (segment->connected_to_prev) {
+      if (!chain_.has_prev) {
         return Status::Corruption("connected segment with no predecessor");
       }
       if ((flags & (kStartTimeDelta | kStartValuesVarint)) != 0) {
         return Status::Corruption(
             "connected segment carries explicit start-point flags");
       }
-      segment.t_start = prev_t_end_;
-      segment.x_start = prev_x_end_;
+      segment->t_start = chain_.t_end;
+      segment->x_start = chain_.x_end;
     } else {
       if ((flags & kStartTimeDelta) != 0) {
-        if (!has_prev_) {
+        if (!chain_.has_prev) {
           return Status::Corruption(
               "delta-coded start time with no predecessor");
         }
@@ -242,12 +279,12 @@ Result<Segment> ArchiveSegmentCoder::DecodeBody(
         if (!reader.ReadVarint(&zz)) {
           return Status::Corruption("segment body start time truncated");
         }
-        segment.t_start = prev_t_end_ + static_cast<double>(UnZigZag(zz));
-      } else if (!reader.ReadF64(&segment.t_start)) {
+        segment->t_start = chain_.t_end + static_cast<double>(UnZigZag(zz));
+      } else if (!reader.ReadF64(&segment->t_start)) {
         return Status::Corruption("segment body start time truncated");
       }
-      segment.x_start.resize(dimensions_);
-      for (double& v : segment.x_start) {
+      segment->x_start.resize(dimensions_);
+      for (double& v : segment->x_start) {
         if ((flags & kStartValuesVarint) != 0) {
           uint64_t zz = 0;
           if (!reader.ReadVarint(&zz)) {
@@ -264,12 +301,12 @@ Result<Segment> ArchiveSegmentCoder::DecodeBody(
       if (!reader.ReadVarint(&zz)) {
         return Status::Corruption("segment body end time truncated");
       }
-      segment.t_end = segment.t_start + static_cast<double>(UnZigZag(zz));
-    } else if (!reader.ReadF64(&segment.t_end)) {
+      segment->t_end = segment->t_start + static_cast<double>(UnZigZag(zz));
+    } else if (!reader.ReadF64(&segment->t_end)) {
       return Status::Corruption("segment body end time truncated");
     }
-    segment.x_end.resize(dimensions_);
-    for (double& v : segment.x_end) {
+    segment->x_end.resize(dimensions_);
+    for (double& v : segment->x_end) {
       if ((flags & kEndValuesVarint) != 0) {
         uint64_t zz = 0;
         if (!reader.ReadVarint(&zz)) {
@@ -284,34 +321,21 @@ Result<Segment> ArchiveSegmentCoder::DecodeBody(
   if (!reader.Done()) {
     return Status::Corruption("segment body length mismatch");
   }
-  has_prev_ = true;
-  prev_t_end_ = segment.t_end;
-  prev_x_end_ = segment.x_end;
-  return segment;
+  Prime(*segment);
+  return Status::OK();
 }
 
 void ArchiveSegmentCoder::Prime(const Segment& segment) {
-  has_prev_ = true;
-  prev_t_end_ = segment.t_end;
-  prev_x_end_ = segment.x_end;
+  chain_.has_prev = true;
+  chain_.t_end = segment.t_end;
+  chain_.x_end = segment.x_end;
 }
 
 Result<ArchiveScan> ScanArchiveFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::IOError("cannot open archive '" + path + "' for reading");
-  }
-  std::vector<uint8_t> bytes;
-  uint8_t buffer[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    bytes.insert(bytes.end(), buffer, buffer + n);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    return Status::IOError("error reading archive '" + path + "'");
-  }
+  std::unique_ptr<uint8_t[]> buffer;
+  size_t size = 0;
+  PLASTREAM_RETURN_NOT_OK(ReadArchiveFile(path, &buffer, &size));
+  const std::span<const uint8_t> bytes(buffer.get(), size);
 
   ArchiveScan scan;
   scan.file_bytes = bytes.size();
@@ -320,6 +344,9 @@ Result<ArchiveScan> ScanArchiveFile(const std::string& path) {
   // Per-stream chain state, scan-local: a torn record may pollute its
   // coder, so recovering writers re-Prime fresh coders from the stores.
   std::vector<std::unique_ptr<ArchiveSegmentCoder>> coders;
+  // Every segment decodes into this one scratch Segment before its store
+  // copies it.
+  Segment segment;
 
   // Prefix scan: every record must be intact and semantically valid; the
   // first one that is not marks the torn tail and ends the scan, keeping
@@ -402,10 +429,11 @@ Result<ArchiveScan> ScanArchiveFile(const std::string& path) {
         tear("segment for an undeclared stream");
       } else {
         ArchiveStream& stream = *scan.streams[stream_id];
-        auto segment = coders[stream_id]->DecodeBody(payload.subspan(pos));
-        if (!segment.ok()) {
-          tear(segment.status().message());
-        } else if (const Status appended = stream.store->Append(*segment);
+        if (const Status decoded =
+                coders[stream_id]->DecodeBody(payload.subspan(pos), &segment);
+            !decoded.ok()) {
+          tear(decoded.message());
+        } else if (const Status appended = stream.store->Append(segment);
                    !appended.ok()) {
           tear("segment violates the chain: " + appended.message());
         } else {

@@ -77,14 +77,10 @@ std::vector<uint8_t> EncodeArchiveHeader(ArchiveSegmentCodec codec);
 Result<ArchiveSegmentCodec> DecodeArchiveHeader(
     std::span<const uint8_t> bytes);
 
-/// Wraps `payload` as a complete record: length prefix, payload bytes,
-/// CRC32C trailer.
-std::vector<uint8_t> FrameArchiveRecord(std::span<const uint8_t> payload);
-
-/// Builds a stream-open payload (stream id, kind, key, dimensionality).
-std::vector<uint8_t> EncodeStreamOpenPayload(uint64_t stream_id,
-                                             std::string_view key,
-                                             size_t dimensions);
+/// Appends a complete stream-open record (stream id -> key,
+/// dimensionality) to `*out`.
+void AppendStreamOpenRecord(uint64_t stream_id, std::string_view key,
+                            size_t dimensions, std::vector<uint8_t>* out);
 
 /// Stateful per-stream segment body coder. Encode and decode share the
 /// single "previous segment end" state, so a coder primed by decoding a
@@ -92,18 +88,33 @@ std::vector<uint8_t> EncodeStreamOpenPayload(uint64_t stream_id,
 /// serves one stream; bodies must be processed in chain order.
 class ArchiveSegmentCoder {
  public:
+  /// The chain state: the end of the previously coded segment, if any.
+  /// A writer snapshots it before an append and restores it when the log
+  /// write fails, so the next record continues from what reached the log.
+  struct Chain {
+    /// False until a segment has been coded (or primed).
+    bool has_prev = false;
+    /// The previous segment's end time.
+    double t_end = 0.0;
+    /// The previous segment's end values.
+    DimVec x_end;
+  };
+
   /// A coder for one stream of `dimensions`-dimensional segments.
   ArchiveSegmentCoder(ArchiveSegmentCodec codec, size_t dimensions);
 
-  /// Appends the body of `segment` to `*out` and advances the chain
-  /// state. The segment must already satisfy the SegmentStore chain
-  /// invariants relative to the previously coded segment.
-  void EncodeBody(const Segment& segment, std::vector<uint8_t>* out);
+  /// Appends a complete segment record of stream `stream_id` for
+  /// `segment` to `*out` and advances the chain state. The segment must
+  /// already satisfy the SegmentStore chain invariants relative to the
+  /// previously coded segment. Allocates nothing once `*out` has room.
+  void AppendRecord(uint64_t stream_id, const Segment& segment,
+                    std::vector<uint8_t>* out);
 
-  /// Decodes one segment body and advances the chain state. Errors with
-  /// Corruption on truncation, stray bytes, reserved flags, or a
-  /// connected segment with no predecessor.
-  Result<Segment> DecodeBody(std::span<const uint8_t> body);
+  /// Decodes one segment body into `*segment` (every field overwritten,
+  /// so one Segment can be reused across calls) and advances the chain
+  /// state. Errors with Corruption on truncation, stray bytes, reserved
+  /// flags, or a connected segment with no predecessor.
+  Status DecodeBody(std::span<const uint8_t> body, Segment* segment);
 
   /// Resets the chain state to "previous segment = `segment`". A
   /// recovering writer primes a fresh coder with the last intact segment
@@ -111,18 +122,18 @@ class ArchiveSegmentCoder {
   /// truncated archive left off.
   void Prime(const Segment& segment);
 
-  /// Resets the chain state to "no previous segment" — the state of a
-  /// fresh coder. A writer that failed to log a segment (e.g. disk full
-  /// under the degrade policy) rolls back with Prime(last logged) or, when
-  /// nothing was ever logged, with Reset().
-  void Reset() { has_prev_ = false; }
+  /// The current chain state.
+  const Chain& chain() const { return chain_; }
+
+  /// Restores a chain state previously read with chain().
+  void set_chain(const Chain& chain) { chain_ = chain; }
 
  private:
+  void EncodeBody(const Segment& segment, std::vector<uint8_t>* out);
+
   const ArchiveSegmentCodec codec_;
   const size_t dimensions_;
-  bool has_prev_ = false;
-  double prev_t_end_ = 0.0;
-  DimVec prev_x_end_;
+  Chain chain_;
 };
 
 /// One stream reconstructed by scanning an archive file.
@@ -148,7 +159,7 @@ struct ArchiveScan {
   /// File offset just past the last intact record; a recovering writer
   /// truncates the file to this length.
   uint64_t valid_bytes = 0;
-  /// Total size of the scanned file.
+  /// Bytes the scan read: the file's size when the scan opened it.
   uint64_t file_bytes = 0;
   /// Intact records (stream-opens + segments).
   size_t records = 0;
@@ -161,8 +172,9 @@ struct ArchiveScan {
 };
 
 /// Reads and validates the archive at `path`, rebuilding every stream's
-/// store. Never modifies the file. Errors with IOError when the file
-/// cannot be read and Corruption when it cannot be an archive at all
+/// store. Never modifies the file, and reads it with one sized read.
+/// Errors with IOError when the file cannot be stat'ed or read (or is not
+/// a regular file) and Corruption when it cannot be an archive at all
 /// (short or invalid header); any later invalid byte is reported as a
 /// torn tail (`torn`/`valid_bytes`), not an error — everything before
 /// the tear is returned intact.

@@ -8,11 +8,14 @@
 // in-memory store) and then keeps appending where the intact prefix
 // ended.
 //
-// Concurrency: segment bodies are encoded on the stream's shard with no
-// shared state; only the final byte-append onto the log serializes, on a
-// mutex held for one fwrite. Segments are orders of magnitude rarer than
-// points (that is the point of PLA), so the shared append is off the
-// per-point hot path entirely.
+// Append path: a healthy segment takes the backend mutex once. Under it
+// the record is framed in place into one reused buffer (length
+// placeholder, stream id, kind, body, patched length, CRC32C) and written
+// with one fwrite, so once that buffer has grown to the largest record an
+// append allocates nothing beyond the in-memory store's own growth. The
+// sticky-failure gate reads an atomic mirror of the failure and takes no
+// lock. Segments are orders of magnitude rarer than points (that is the
+// point of PLA), so the shared append is off the per-point hot path.
 //
 // Spec: "file(path=...,codec=frame|delta,sync=none|flush,on_error=fail|degrade)"
 //   path     (required) the archive log's filesystem path
@@ -39,6 +42,7 @@
 // here as synthetic ENOSPC so degrade-and-resume is testable without
 // filling a real disk.
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -47,13 +51,14 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/fault_injection.h"
 #include "storage/archive_format.h"
 #include "storage/storage_backend.h"
-#include "stream/wire_bytes.h"
 
 namespace plastream {
 namespace {
@@ -70,8 +75,8 @@ Status MediumError(const std::string& what, int err) {
 
 // One stream's slice of the archive: the queryable in-memory store, the
 // chain-state coder, and this stream's byte accounting. Append runs only
-// on the stream's shard; the backend serializes the final log write and
-// owns the commit/rollback of the chain state it guards.
+// on the stream's shard; the backend encodes and writes the stream's
+// records under its lock and owns the commit/rollback of the chain state.
 class FileStreamStorage final : public StreamStorage {
  public:
   FileStreamStorage(FileBackend* backend, std::string key,
@@ -81,10 +86,7 @@ class FileStreamStorage final : public StreamStorage {
         key_(std::move(key)),
         coder_(codec, dimensions),
         store_(std::move(store)) {
-    if (!store_->empty()) {
-      coder_.Prime(store_->segments().back());
-      last_logged_ = store_->segments().back();
-    }
+    if (!store_->empty()) coder_.Prime(store_->segments().back());
   }
 
   Status Append(const Segment& segment) override;
@@ -102,29 +104,29 @@ class FileStreamStorage final : public StreamStorage {
   // sequential order, so a degraded stream's id is deferred with its open
   // record).
   bool has_log_id() const { return log_id_.has_value(); }
-  uint64_t log_id() const { return *log_id_; }
   void set_log_id(uint64_t id) { log_id_ = id; }
 
-  // The copy of the last appended segment as it would be logged (forced
-  // disconnected while a degrade gap is pending).
-  const Segment& pending_logged() const { return pending_logged_; }
-
-  // The logged chain advanced past pending_logged(): commit it as the new
-  // rollback point and clear any pending gap.
-  void CommitLogged() {
-    last_logged_ = pending_logged_;
-    gap_pending_ = false;
-  }
-
-  // The log write failed after EncodeBody advanced the coder: rewind the
-  // chain state to the last segment that actually reached the log.
-  void RollbackCoder() {
-    if (last_logged_.has_value()) {
-      coder_.Prime(*last_logged_);
+  // Appends `segment`'s record to `*out` and advances the chain state,
+  // keeping the state before it as the rollback point. The logged copy is
+  // forced disconnected while a degrade gap is pending (see MarkGap).
+  // Requires a log id. Backend lock held.
+  void AppendRecord(const Segment& segment, std::vector<uint8_t>* out) {
+    rollback_ = coder_.chain();
+    if (gap_pending_ && segment.connected_to_prev) {
+      Segment disconnected = segment;
+      disconnected.connected_to_prev = false;
+      coder_.AppendRecord(*log_id_, disconnected, out);
     } else {
-      coder_.Reset();
+      coder_.AppendRecord(*log_id_, segment, out);
     }
   }
+
+  // The record from AppendRecord reached the log: any gap is closed.
+  void CommitLogged() { gap_pending_ = false; }
+
+  // The record from AppendRecord did not reach the log: rewind the chain
+  // state to the last segment that did.
+  void RollbackCoder() { coder_.set_chain(rollback_); }
 
   // A segment was dropped from the log (degrade): the next logged segment
   // must be encoded disconnected, since its true predecessor was never
@@ -135,14 +137,11 @@ class FileStreamStorage final : public StreamStorage {
   FileBackend* const backend_;
   const std::string key_;
   ArchiveSegmentCoder coder_;
+  ArchiveSegmentCoder::Chain rollback_;
   std::unique_ptr<SegmentStore> store_;
   uint64_t bytes_ = 0;
   std::optional<uint64_t> log_id_;
-  std::optional<Segment> last_logged_;
-  Segment pending_logged_;
   bool gap_pending_ = false;
-
-  friend class FileBackend;
 };
 
 class FileBackend final : public StorageBackend {
@@ -161,14 +160,16 @@ class FileBackend final : public StorageBackend {
 
   Status Open() override {
     if (file_ != nullptr) return Status::OK();
+    // A missing or empty file starts a fresh archive; anything else is
+    // recovered. A failed stat must not be mistaken for either.
     std::error_code ec;
-    const bool exists = std::filesystem::exists(path_, ec) && !ec;
-    const uint64_t size =
-        exists ? static_cast<uint64_t>(std::filesystem::file_size(path_, ec))
-               : 0;
-    if (exists && size > 0) {
-      PLASTREAM_RETURN_NOT_OK(Recover(size));
+    const bool exists = std::filesystem::exists(path_, ec);
+    const uintmax_t size = exists ? std::filesystem::file_size(path_, ec) : 0;
+    if (ec) {
+      return Status::IOError("cannot stat archive '" + path_ +
+                             "': " + ec.message());
     }
+    if (size > 0) PLASTREAM_RETURN_NOT_OK(Recover());
     file_ = std::fopen(path_.c_str(), recovered_ ? "ab" : "wb");
     if (file_ == nullptr) {
       return MediumError("cannot open archive '" + path_ + "' for appending",
@@ -300,22 +301,20 @@ class FileBackend final : public StorageBackend {
 
   // The gate Append checks before touching the store: under `fail` a
   // sticky medium failure keeps reporting itself; under `degrade` ingest
-  // is always served.
+  // is always served. Lock-free until a failure has been recorded.
   Status AppendGate() {
+    if (degrade_ || !failed_.load(std::memory_order_acquire)) {
+      return Status::OK();
+    }
     const std::lock_guard<std::mutex> lock(mutex_);
-    return degrade_ ? Status::OK() : write_status_;
+    return write_status_;
   }
 
-  /// Appends one encoded segment record for `stream`, applying the
-  /// on_error policy. `body` is the record payload minus the stream-id
-  /// varint (prepended here, where the log id is known).
-  Status ArchiveSegment(std::span<const uint8_t> body,
-                        FileStreamStorage* stream) {
+  /// Logs `segment` (already in `stream`'s store) as the stream's next
+  /// record, applying the on_error policy.
+  Status ArchiveSegment(const Segment& segment, FileStreamStorage* stream) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (!degrade_ && !write_status_.ok()) {
-      stream->RollbackCoder();
-      return write_status_;
-    }
+    if (!degrade_ && !write_status_.ok()) return write_status_;
     if (archiving_lost_) {
       DropSegmentLocked(stream);
       return Status::OK();
@@ -327,11 +326,13 @@ class FileBackend final : public StorageBackend {
       const Status opened = LogStreamOpenLocked(stream);
       if (!opened.ok()) return SegmentWriteFailedLocked(opened, stream);
     }
-    std::vector<uint8_t> payload;
-    PutVarint(&payload, stream->log_id());
-    payload.insert(payload.end(), body.begin(), body.end());
-    const Status wrote = TryWriteRecordLocked(payload, stream);
-    if (!wrote.ok()) return SegmentWriteFailedLocked(wrote, stream);
+    record_.clear();
+    stream->AppendRecord(segment, &record_);
+    const Status wrote = TryWriteRecordLocked(record_, stream);
+    if (!wrote.ok()) {
+      stream->RollbackCoder();
+      return SegmentWriteFailedLocked(wrote, stream);
+    }
     stream->CommitLogged();
     if (degraded_) {
       degraded_ = false;
@@ -364,16 +365,15 @@ class FileBackend final : public StorageBackend {
     return Status::OK();
   }
 
-  // Attempts one framed append (no failure policy applied): fault hook,
+  // Attempts one record append (no failure policy applied): fault hook,
   // fwrite, and the per-record flush `degrade` relies on. Accounts bytes
   // on success. Lock held.
-  Status TryWriteRecordLocked(std::span<const uint8_t> payload,
+  Status TryWriteRecordLocked(std::span<const uint8_t> record,
                               FileStreamStorage* stream) {
     if (file_ == nullptr) {
       return Status::FailedPrecondition("archive '" + path_ +
                                         "' is already closed");
     }
-    const std::vector<uint8_t> record = FrameArchiveRecord(payload);
     if (FaultInjector* faults = FaultInjector::Active()) {
       if (faults->Next(FaultSite::kFileWrite, record.size()).no_space) {
         return MediumError("cannot append record to archive '" + path_ + "'",
@@ -398,19 +398,20 @@ class FileBackend final : public StorageBackend {
   // success. Ids must appear sequentially in the log (the scanner
   // enforces it), so next_stream_id_ only advances when the record lands.
   Status LogStreamOpenLocked(FileStreamStorage* stream) {
-    const std::vector<uint8_t> payload = EncodeStreamOpenPayload(
-        next_stream_id_, stream->key(), stream->store()->dimensions());
-    const Status wrote = TryWriteRecordLocked(payload, stream);
+    record_.clear();
+    AppendStreamOpenRecord(next_stream_id_, stream->key(),
+                           stream->store()->dimensions(), &record_);
+    const Status wrote = TryWriteRecordLocked(record_, stream);
     if (!wrote.ok()) return wrote;
     stream->set_log_id(next_stream_id_++);
     return Status::OK();
   }
 
-  // The on_error policy for a failed segment (or deferred-open) write.
-  // Lock held. Returns what Append should report.
+  // The on_error policy for a failed segment (or deferred-open) write,
+  // after the stream's chain state has been rolled back. Lock held.
+  // Returns what Append should report.
   Status SegmentWriteFailedLocked(const Status& failed,
                                   FileStreamStorage* stream) {
-    stream->RollbackCoder();
     if (!degrade_) {
       StickyFailLocked(failed);
       return failed;
@@ -428,6 +429,7 @@ class FileBackend final : public StorageBackend {
   void StickyFailLocked(const Status& failed) {
     ++health_.write_failures;
     write_status_ = failed;
+    failed_.store(true, std::memory_order_release);
     health_.state = StorageHealth::State::kFailing;
     health_.cause = failed.message();
   }
@@ -474,7 +476,7 @@ class FileBackend final : public StorageBackend {
 
   // Scans the existing log, truncates a torn tail, and adopts every
   // recovered stream (store + chain state) so appends continue the file.
-  Status Recover(uint64_t size) {
+  Status Recover() {
     PLASTREAM_ASSIGN_OR_RETURN(ArchiveScan scan, ScanArchiveFile(path_));
     if (scan.codec != codec_) {
       return Status::InvalidArgument(
@@ -490,7 +492,7 @@ class FileBackend final : public StorageBackend {
         return Status::IOError("cannot truncate torn tail of archive '" +
                                path_ + "': " + ec.message());
       }
-      truncated_bytes_ = size - scan.valid_bytes;
+      truncated_bytes_ = scan.file_bytes - scan.valid_bytes;
     }
     for (size_t id = 0; id < scan.streams.size(); ++id) {
       ArchiveStream& recovered = *scan.streams[id];
@@ -513,10 +515,12 @@ class FileBackend final : public StorageBackend {
   const bool sync_flush_;
   const bool degrade_;  // on_error=degrade
 
-  // guards the stream map, FILE*, write_status_, health_
+  // guards the stream map, FILE*, record_, write_status_, health_
   mutable std::mutex mutex_;
   std::FILE* file_ = nullptr;
+  std::vector<uint8_t> record_;  // reused framing buffer, one record
   Status write_status_ = Status::OK();  // first append failure, sticky
+  std::atomic<bool> failed_{false};     // mirrors !write_status_.ok()
   std::map<std::string, std::unique_ptr<FileStreamStorage>, std::less<>>
       streams_;
   uint64_t next_stream_id_ = 0;
@@ -537,15 +541,7 @@ Status FileStreamStorage::Append(const Segment& segment) {
   // Validate (and publish to the queryable view) before any byte reaches
   // the log, so an invalid segment can never corrupt the archive.
   PLASTREAM_RETURN_NOT_OK(store_->Append(segment));
-  // Encode on the stream's shard, lock-free; only the log append below
-  // serializes across shards. The logged copy is forced disconnected
-  // while a degrade gap is pending (see MarkGap).
-  pending_logged_ = segment;
-  if (gap_pending_) pending_logged_.connected_to_prev = false;
-  std::vector<uint8_t> body;
-  body.push_back(kArchiveRecordSegment);
-  coder_.EncodeBody(pending_logged_, &body);
-  return backend_->ArchiveSegment(body, this);
+  return backend_->ArchiveSegment(segment, this);
 }
 
 }  // namespace

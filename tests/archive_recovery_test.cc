@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -209,12 +210,10 @@ TEST(RecoveryTest, AbsurdStreamDimensionalityTearsInsteadOfCrashing) {
   {
     std::FILE* file = std::fopen(path.c_str(), "wb");
     ASSERT_NE(file, nullptr);
-    const auto header = EncodeArchiveHeader(ArchiveSegmentCodec::kDelta);
-    std::fwrite(header.data(), 1, header.size(), file);
-    const auto payload =
-        EncodeStreamOpenPayload(0, "k", uint64_t{1} << 61);
-    const auto record = FrameArchiveRecord(payload);
-    std::fwrite(record.data(), 1, record.size(), file);
+    std::vector<uint8_t> bytes =
+        EncodeArchiveHeader(ArchiveSegmentCodec::kDelta);
+    AppendStreamOpenRecord(0, "k", uint64_t{1} << 61, &bytes);
+    std::fwrite(bytes.data(), 1, bytes.size(), file);
     std::fclose(file);
   }
   auto reader = SegmentArchiveReader::Open(path);
@@ -223,6 +222,258 @@ TEST(RecoveryTest, AbsurdStreamDimensionalityTearsInsteadOfCrashing) {
   EXPECT_EQ((*reader)->stream_count(), 0u);
   EXPECT_EQ((*reader)->torn_reason(), "stream-open record malformed");
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// A small hand-built archive: stream "a" (d=1) and stream "v" (d=3),
+// interleaved, covering connected and disconnected segments, point
+// segments, integral and non-integral values and times, and an integral
+// value too large for the delta codec's varint form.
+// ---------------------------------------------------------------------------
+
+struct SmallStream {
+  std::string key;
+  size_t dims = 0;
+  std::vector<Segment> segments;
+};
+
+Segment Seg(double t0, double t1, DimVec x0, DimVec x1, bool connected) {
+  Segment s;
+  s.t_start = t0;
+  s.t_end = t1;
+  s.x_start = std::move(x0);
+  s.x_end = std::move(x1);
+  s.connected_to_prev = connected;
+  return s;
+}
+
+std::vector<SmallStream> SmallStreams() {
+  return {
+      {"a",
+       1,
+       {Seg(0, 4, {1}, {3}, false), Seg(4, 10, {3}, {2.5}, true),
+        Seg(12, 12, {7}, {7}, false), Seg(13, 20.5, {-1.25}, {4}, false),
+        Seg(20.5, 30, {4}, {1e10}, true)}},
+      {"v",
+       3,
+       {Seg(0.5, 3, {1, 2, 3}, {0.1, -2, 1e-3}, false),
+        Seg(3, 8, {0.1, -2, 1e-3}, {4, 5, 6}, true),
+        Seg(9, 9, {1, 1, 1}, {1, 1, 1}, false),
+        Seg(10, 15.25, {-2, 0, 2.5}, {3, 3, 3}, false)}},
+  };
+}
+
+// Writes the small archive with `codec` through the file backend.
+void WriteSmallArchive(const std::string& path, const char* codec) {
+  std::remove(path.c_str());
+  auto backend = MakeStorageBackend("file(path=" + path + ",codec=" +
+                                    codec + ")");
+  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+  ASSERT_TRUE((*backend)->Open().ok());
+  const std::vector<SmallStream> streams = SmallStreams();
+  std::vector<StreamStorage*> handles;
+  for (const SmallStream& s : streams) {
+    auto handle = (*backend)->OpenStream(s.key, s.dims);
+    ASSERT_TRUE(handle.ok());
+    handles.push_back(*handle);
+  }
+  for (size_t i = 0;; ++i) {
+    bool any = false;
+    for (size_t k = 0; k < streams.size(); ++k) {
+      if (i >= streams[k].segments.size()) continue;
+      ASSERT_TRUE(handles[k]->Append(streams[k].segments[i]).ok());
+      any = true;
+    }
+    if (!any) break;
+  }
+  ASSERT_TRUE((*backend)->Close().ok());
+}
+
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  std::vector<uint8_t> bytes(FileSize(path));
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(file, nullptr);
+  if (file == nullptr) return {};
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), file), bytes.size());
+  std::fclose(file);
+  return bytes;
+}
+
+void WriteBytes(const std::string& path, std::span<const uint8_t> bytes) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(file, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+  std::fclose(file);
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const uint8_t b : bytes) {
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 0xF]);
+  }
+  return hex;
+}
+
+// End offset of every record after the header of an intact archive.
+std::vector<uint64_t> RecordEnds(const std::vector<uint8_t>& bytes) {
+  std::vector<uint64_t> ends;
+  uint64_t offset = kArchiveHeaderSize;
+  while (offset + 4 <= bytes.size()) {
+    uint32_t len = 0;
+    for (int i = 3; i >= 0; --i) len = (len << 8) | bytes[offset + i];
+    offset += 8 + static_cast<uint64_t>(len);
+    ends.push_back(offset);
+  }
+  EXPECT_EQ(offset, bytes.size());
+  return ends;
+}
+
+// The archive format is a compatibility contract: these are the exact
+// bytes of the small archive under each codec, one record per group of
+// lines (header; the stream-opens of "a" and "v"; then segments a, v, a,
+// v, ... in append order).
+TEST(ArchiveGoldenBytesTest, FrameCodec) {
+  const std::string path = TempPath("golden_frame");
+  WriteSmallArchive(path, "frame");
+  EXPECT_EQ(
+      Hex(ReadBytes(path)),
+      "504c415201010000e59345d2"
+      "0500000000010161018170235c"
+      "0500000001010176031e57a1c0"
+      "2300000000020000000000000000000000000000001040000000000000f03f00"
+      "0000000000084054f63569"
+      "43000000010200000000000000e03f0000000000000840000000000000f03f00"
+      "0000000000004000000000000008409a9999999999b93f00000000000000c0fc"
+      "a9f1d24d62503f2d0bb0f2"
+      "2300000000020100000000000010400000000000002440000000000000084000"
+      "0000000000044057880a1d"
+      "43000000010201000000000000084000000000000020409a9999999999b93f00"
+      "000000000000c0fca9f1d24d62503f0000000000001040000000000000144000"
+      "000000000018402bba3961"
+      "23000000000200000000000000284000000000000028400000000000001c4000"
+      "00000000001c4060fcf313"
+      "4300000001020000000000000022400000000000002240000000000000f03f00"
+      "0000000000f03f000000000000f03f000000000000f03f000000000000f03f00"
+      "0000000000f03fd73cfc69"
+      "230000000002000000000000002a400000000000803440000000000000f4bf00"
+      "00000000001040c88ce626"
+      "4300000001020000000000000024400000000000802e4000000000000000c000"
+      "0000000000000000000000000004400000000000000840000000000000084000"
+      "000000000008401534928b"
+      "2300000000020100000000008034400000000000003e40000000000000104000"
+      "0000205fa002425eeac094");
+  std::remove(path.c_str());
+}
+
+TEST(ArchiveGoldenBytesTest, DeltaCodec) {
+  const std::string path = TempPath("golden_delta");
+  WriteSmallArchive(path, "delta");
+  EXPECT_EQ(
+      Hex(ReadBytes(path)),
+      "504c41520102000096536b38"
+      "0500000000010161018170235c"
+      "0500000001010176031e57a1c0"
+      "0e00000000021c0000000000000000020806c46e99b1"
+      "2e000000010208000000000000e03f02040600000000000008409a9999999999"
+      "b93f00000000000000c0fca9f1d24d62503fd7cfb179"
+      "0c0000000002050c0000000000000440c86e1981"
+      "070000000102150a080a0c8d14a7d9"
+      "0700000000021e040e000e02872a84"
+      "0b00000001021e0202020200020202c9770730"
+      "1500000000021202000000000000f4bf000000000080344008dd80f1a3"
+      "270000000102120200000000000000c000000000000000000000000000000440"
+      "0000000000802e40060606e5f5fa00"
+      "130000000002010000000000003e40000000205fa002426dccea1b");
+  std::remove(path.c_str());
+}
+
+// Truncates the small archive at every byte offset past the header. At
+// each cut, recovery keeps exactly the records wholly before it, reports a
+// torn tail exactly when the cut falls mid-record, and a file backend
+// reopened on the truncated file appends records that re-scan clean.
+TEST_P(RecoveryTest, EveryTruncationOffsetRecoversThePrefix) {
+  const std::string source = TempPath(std::string("cut_src_") + GetParam());
+  WriteSmallArchive(source, GetParam());
+  const std::vector<uint8_t> clean = ReadBytes(source);
+  std::remove(source.c_str());
+  const std::vector<uint64_t> ends = RecordEnds(clean);
+  ASSERT_GT(ends.size(), 10u);
+
+  const std::string path = TempPath(std::string("cut_") + GetParam());
+  const std::string spec =
+      "file(path=" + path + ",codec=" + std::string(GetParam()) + ")";
+  for (uint64_t cut = kArchiveHeaderSize; cut <= clean.size(); ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    WriteBytes(path, std::span<const uint8_t>(clean.data(), cut));
+    const size_t whole = static_cast<size_t>(
+        std::upper_bound(ends.begin(), ends.end(), cut) - ends.begin());
+    const uint64_t valid = whole == 0 ? kArchiveHeaderSize : ends[whole - 1];
+
+    size_t recovered_segments = 0;
+    {
+      auto reader = SegmentArchiveReader::Open(path);
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      EXPECT_EQ((*reader)->record_count(), whole);
+      EXPECT_EQ((*reader)->valid_bytes(), valid);
+      EXPECT_EQ((*reader)->torn_tail(), cut != valid);
+      EXPECT_EQ((*reader)->truncated_bytes(), cut - valid);
+      recovered_segments = (*reader)->segment_count();
+    }
+
+    // Reopen for append: two more segments per stream, continuing each
+    // recovered chain (connected to its last intact segment, if any).
+    {
+      auto backend = MakeStorageBackend(spec);
+      ASSERT_TRUE(backend.ok());
+      ASSERT_TRUE((*backend)->Open().ok());
+      for (const SmallStream& s : SmallStreams()) {
+        auto handle = (*backend)->OpenStream(s.key, s.dims);
+        ASSERT_TRUE(handle.ok());
+        const SegmentStore* store = (*handle)->store();
+        Segment next;
+        if (store->empty()) {
+          next = Seg(100, 101, DimVec(s.dims, 0.5), DimVec(s.dims, 2), false);
+        } else {
+          const Segment& last = store->segments().back();
+          next = Seg(last.t_end, last.t_end + 1, last.x_end,
+                     DimVec(s.dims, 2), true);
+        }
+        ASSERT_TRUE((*handle)->Append(next).ok());
+        ASSERT_TRUE((*handle)
+                        ->Append(Seg(next.t_end, next.t_end + 2.5,
+                                     next.x_end, DimVec(s.dims, -0.75), true))
+                        .ok());
+      }
+      ASSERT_TRUE((*backend)->Close().ok());
+    }
+    auto rescanned = SegmentArchiveReader::Open(path);
+    ASSERT_TRUE(rescanned.ok());
+    EXPECT_FALSE((*rescanned)->torn_tail());
+    EXPECT_EQ((*rescanned)->valid_bytes(), FileSize(path));
+    EXPECT_EQ((*rescanned)->stream_count(), 2u);
+    EXPECT_EQ((*rescanned)->segment_count(), recovered_segments + 4);
+    if (HasFailure()) break;  // one offset's report is enough
+  }
+  std::remove(path.c_str());
+}
+
+TEST(RecoveryTest, DirectoryInPlaceOfTheArchiveIsIOError) {
+  // Neither a stat nor a read of a directory yields archive bytes: both the
+  // reader and the backend must report IOError, never recover or clobber.
+  const std::string dir = TempPath("is_a_directory");
+  std::filesystem::create_directories(dir);
+  EXPECT_EQ(SegmentArchiveReader::Open(dir).status().code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(Pipeline::Builder()
+                .DefaultSpec("cache(eps=1)")
+                .Storage("file(path=" + dir + ")")
+                .Build()
+                .status()
+                .code(),
+            StatusCode::kIOError);
+  std::filesystem::remove(dir);
 }
 
 TEST(RecoveryTest, MissingFileIsIOError) {

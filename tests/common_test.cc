@@ -48,6 +48,42 @@ TEST(Crc32cTest, ChainingMatchesOneShot) {
   }
 }
 
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
+
+// The dispatched Crc32c (the SSE4.2 instruction on x86-64 CPUs that have
+// it) agrees with the portable table walk at every length across the
+// 8-byte bulk/tail boundaries and at every start alignment.
+TEST(Crc32cTest, DispatchedPathMatchesPortable) {
+  const std::vector<uint8_t> buffer = RandomBytes(257 + 7, 2026);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 257; ++len) {
+      const std::span<const uint8_t> data(buffer.data() + offset, len);
+      EXPECT_EQ(Crc32c(data), Crc32cPortable(data)) << offset << "+" << len;
+      EXPECT_EQ(Crc32c(data, 0xDEADBEEFu), Crc32cPortable(data, 0xDEADBEEFu))
+          << offset << "+" << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainedSplitsAgreeAcrossPaths) {
+  const std::vector<uint8_t> data = RandomBytes(100, 7);
+  const uint32_t whole = Crc32cPortable(data);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const std::span<const uint8_t> head(data.data(), split);
+    const std::span<const uint8_t> tail(data.data() + split,
+                                        data.size() - split);
+    EXPECT_EQ(Crc32c(tail, Crc32c(head)), whole) << split;
+    EXPECT_EQ(Crc32cPortable(tail, Crc32cPortable(head)), whole) << split;
+    EXPECT_EQ(Crc32c(tail, Crc32cPortable(head)), whole) << split;
+    EXPECT_EQ(Crc32cPortable(tail, Crc32c(head)), whole) << split;
+  }
+}
+
 TEST(Crc32cTest, SingleBitFlipsAlwaysChangeTheChecksum) {
   const auto data = Bytes("plastream wire frame");
   const uint32_t clean = Crc32c(data);
