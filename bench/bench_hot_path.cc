@@ -22,10 +22,11 @@
 //    single-point throughput;
 //  - per-key segments from batched ingest are byte-identical to the
 //    single-point run;
-//  - the vectorized batch path reaches >= 1.4x the forced-scalar path for
-//    swing at d=4, batch=256, and >= 0.95x (no-regression tripwire) for
-//    slide, whose per-point cost is dominated by inherently scalar
-//    convex-hull maintenance (see docs/PERFORMANCE.md);
+//  - the lane kernels at full Pack width reach >= 1.4x their 1-lane
+//    (forced-scalar) instantiation for swing at d=4, batch=256, and
+//    >= 0.95x (no-regression tripwire) for slide, whose per-point cost is
+//    dominated by inherently scalar convex-hull maintenance (see
+//    docs/PERFORMANCE.md);
 //  - the encode path (filter -> transmitter -> codec -> channel, with
 //    frame recycling) allocates zero times per point in steady state;
 //  - a whole inproc Pipeline with storage=none (swing, frame codec, one
@@ -139,8 +140,8 @@ struct FilterResult {
 FilterResult MeasureFilter(const std::string& family, size_t dims,
                            size_t batch, const Config& config,
                            bool force_scalar = false, double eps = 0.4) {
-  // force_scalar routes the batched overrides through the per-point
-  // scalar path — the in-process baseline the SIMD gate compares against.
+  // force_scalar runs every lane kernel at one lane — the in-process
+  // baseline the SIMD gate compares against.
   simd::SetForceScalar(force_scalar);
   const std::string spec = family + "(eps=" + std::to_string(eps) +
                            ",dims=" + std::to_string(dims) + ")";
@@ -279,9 +280,10 @@ struct SimdResult {
 
 // SIMD vs forced-scalar throughput for one family/dims at batch=256,
 // best-of `reps` for each side. Both sides run the identical batched
-// entry point; the scalar side routes through the per-point fallback via
-// SetForceScalar, so the delta is exactly the vectorized kernels (the
-// property harness separately proves the two produce identical bytes).
+// entry point and the same lane kernels; SetForceScalar makes the scalar
+// side instantiate them at one lane, so the delta is exactly what the
+// vector lanes buy (the property harness and the golden digests in
+// columnar_ingest_test separately prove the two produce identical bytes).
 // The probe runs at eps=2.0 — the long-interval compression regime the
 // filters exist for, where the steady per-point accept path (the
 // vectorized part) dominates; at tiny eps the interval-close machinery,
@@ -571,9 +573,9 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // SIMD-vs-scalar: the same batched entry point with the vector kernels
-  // on and off. Every probe in this binary is single-threaded, so
-  // points/sec here is also points/sec-per-core.
+  // SIMD-vs-scalar: the same batched entry point with the lane kernels at
+  // Pack width and at one lane. Every probe in this binary is
+  // single-threaded, so points/sec here is also points/sec-per-core.
   std::printf(
       "\nSIMD vs forced-scalar, eps=2.0, batch=256, isa=%s (single core):\n",
       simd::kIsa);
@@ -818,9 +820,9 @@ int Main(int argc, char** argv) {
   }
   if (!simd_ok) {
     std::fprintf(stderr,
-                 "\nGATE FAILED: SIMD batch path must reach >= 1.40x the "
-                 "forced-scalar path for swing and >= 0.95x for slide at "
-                 "d=4, batch=256\n");
+                 "\nGATE FAILED: the lane kernels at full Pack width must "
+                 "reach >= 1.40x their 1-lane instantiation for swing and "
+                 ">= 0.95x for slide at d=4, batch=256\n");
   }
   if (!encode_ok) {
     std::fprintf(stderr,

@@ -45,6 +45,20 @@ inline std::vector<double> PaperCompressionRatios(const Signal& signal,
   return ratios;
 }
 
+/// Shape checks that printed "NO" so far (see ShapeVerdict).
+inline int shape_check_failures = 0;
+
+/// Shape-check verdict for the paper-figure benches: "yes" or "NO" to
+/// print. Every "NO" is counted, so main can exit non-zero through
+/// ShapeChecksExitCode().
+inline const char* ShapeVerdict(bool ok) {
+  if (!ok) ++shape_check_failures;
+  return ok ? "yes" : "NO";
+}
+
+/// 1 when any ShapeVerdict printed "NO", else 0.
+inline int ShapeChecksExitCode() { return shape_check_failures == 0 ? 0 : 1; }
+
 /// Header row for per-filter tables.
 inline std::vector<std::string> PaperFilterHeaders(std::string x_label) {
   std::vector<std::string> headers{std::move(x_label)};

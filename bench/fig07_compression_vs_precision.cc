@@ -41,19 +41,21 @@ void RunFigure7() {
   const auto& widest = series.back();
   std::printf("\nshape checks:\n");
   std::printf("  slide >= swing at 10%%:          %s (%.1f vs %.1f)\n",
-              widest[3] >= widest[2] ? "yes" : "NO", widest[3], widest[2]);
+              bench::ShapeVerdict(widest[3] >= widest[2]), widest[3],
+              widest[2]);
   std::printf("  swing > cache > linear at 10%%:  %s\n",
-              (widest[2] > widest[0] && widest[0] > widest[1]) ? "yes" : "NO");
+              bench::ShapeVerdict(widest[2] > widest[0] &&
+                                  widest[0] > widest[1]));
   std::printf("  slide improvement over linear:  %.0f%% (paper: up to 1867%%)\n",
               100.0 * (widest[3] / widest[1] - 1.0));
-  std::printf("  all ratios >= 1 everywhere:     %s\n", [&] {
-    for (const auto& row : series) {
-      for (const double r : row) {
-        if (r < 1.0) return "NO";
-      }
+  bool all_compress = true;
+  for (const auto& row : series) {
+    for (const double r : row) {
+      if (r < 1.0) all_compress = false;
     }
-    return "yes";
-  }());
+  }
+  std::printf("  all ratios >= 1 everywhere:     %s\n",
+              bench::ShapeVerdict(all_compress));
 }
 
 }  // namespace
@@ -61,5 +63,5 @@ void RunFigure7() {
 
 int main() {
   plastream::RunFigure7();
-  return 0;
+  return plastream::bench::ShapeChecksExitCode();
 }

@@ -49,7 +49,7 @@ void RunFigure8() {
     }
   }
   std::printf("  avg error always below the precision width: %s\n",
-              below_width ? "yes" : "NO");
+              bench::ShapeVerdict(below_width));
   std::printf("  swing avg error at 10%% width: %.2f%% of range "
               "(paper: ~4.5%%)\n",
               series.back()[2]);
@@ -60,5 +60,5 @@ void RunFigure8() {
 
 int main() {
   plastream::RunFigure8();
-  return 0;
+  return plastream::bench::ShapeChecksExitCode();
 }

@@ -57,14 +57,14 @@ void RunFigure9() {
     }
   }
   std::printf("  slide & swing above cache & linear everywhere: %s\n",
-              dominated ? "yes" : "NO");
+              bench::ShapeVerdict(dominated));
   std::printf("  slide improvement over cache: %.0f%% at p=0.5, %.0f%% at "
               "p=0 (paper: ~70%% to ~200%%)\n",
               100.0 * (series.back()[3] / series.back()[0] - 1.0),
               100.0 * (series.front()[3] / series.front()[0] - 1.0));
   std::printf("  monotone (p=0) compresses better than oscillating "
               "(p=0.5) for slide: %s\n",
-              series.front()[3] > series.back()[3] ? "yes" : "NO");
+              bench::ShapeVerdict(series.front()[3] > series.back()[3]));
 }
 
 }  // namespace
@@ -72,5 +72,5 @@ void RunFigure9() {
 
 int main() {
   plastream::RunFigure9();
-  return 0;
+  return plastream::bench::ShapeChecksExitCode();
 }

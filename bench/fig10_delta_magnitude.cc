@@ -53,10 +53,10 @@ void RunFigure10() {
 
   std::printf("\nshape checks:\n");
   std::printf("  compression falls as delta grows (slide): %s\n",
-              series.front()[3] > series.back()[3] ? "yes" : "NO");
+              bench::ShapeVerdict(series.front()[3] > series.back()[3]));
   std::printf("  cache beats linear when x < precision width: %s "
               "(%.2f vs %.2f at x=10%%)\n",
-              series.front()[0] > series.front()[1] ? "yes" : "NO",
+              bench::ShapeVerdict(series.front()[0] > series.front()[1]),
               series.front()[0], series.front()[1]);
   std::printf("  slide over linear: %.0f%% at x=10%%, %.0f%% at x=10000%% "
               "(paper: 266%% down to 19.5%%)\n",
@@ -67,7 +67,7 @@ void RunFigure10() {
     if (!(row[3] >= row[0] && row[3] >= row[1])) slide_on_top = false;
   }
   std::printf("  slide >= cache and linear everywhere: %s\n",
-              slide_on_top ? "yes" : "NO");
+              bench::ShapeVerdict(slide_on_top));
 }
 
 }  // namespace
@@ -75,5 +75,5 @@ void RunFigure10() {
 
 int main() {
   plastream::RunFigure10();
-  return 0;
+  return plastream::bench::ShapeChecksExitCode();
 }

@@ -54,7 +54,7 @@ void RunFigure11() {
   std::printf("\nshape checks:\n");
   std::printf("  compression decreases with dimensionality (slide): %s "
               "(%.2f at d=1 vs %.2f at d=10)\n",
-              series.front()[3] > series.back()[3] ? "yes" : "NO",
+              bench::ShapeVerdict(series.front()[3] > series.back()[3]),
               series.front()[3], series.back()[3]);
   bool on_top = true;
   for (const auto& row : series) {
@@ -63,7 +63,7 @@ void RunFigure11() {
     }
   }
   std::printf("  slide & swing highest across all d: %s\n",
-              on_top ? "yes" : "NO");
+              bench::ShapeVerdict(on_top));
 }
 
 }  // namespace
@@ -71,5 +71,5 @@ void RunFigure11() {
 
 int main() {
   plastream::RunFigure11();
-  return 0;
+  return plastream::bench::ShapeChecksExitCode();
 }

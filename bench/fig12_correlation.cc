@@ -113,13 +113,14 @@ void RunFigure12() {
   std::printf("\nshape checks:\n");
   std::printf("  compression rises with correlation (slide): %s "
               "(%.2f at 0.1 vs %.2f at 1.0)\n",
-              series.back()[3] > series.front()[3] ? "yes" : "NO",
+              bench::ShapeVerdict(series.back()[3] > series.front()[3]),
               series.front()[3], series.back()[3]);
   bool on_top = true;
   for (const auto& row : series) {
     if (!(row[3] >= row[0] && row[3] >= row[1])) on_top = false;
   }
-  std::printf("  slide highest across the sweep: %s\n", on_top ? "yes" : "NO");
+  std::printf("  slide highest across the sweep: %s\n",
+              bench::ShapeVerdict(on_top));
   if (break_even > 0.0) {
     std::printf("  joint compression wins from correlation ~%.1f on "
                 "(paper: ~0.7)\n", break_even);
@@ -134,5 +135,5 @@ void RunFigure12() {
 
 int main() {
   plastream::RunFigure12();
-  return 0;
+  return plastream::bench::ShapeChecksExitCode();
 }

@@ -36,9 +36,8 @@ int main() {
               ts.size(), signal.Range(0));
 
   // A pipeline compressing the stream within 0.05 C, fed in columnar
-  // chunks of 256 — each chunk is two sub-spans, no row conversion. The
-  // per-family AppendBatch overrides run these chunks through the SIMD
-  // bound-check kernels.
+  // chunks of 256 — each chunk is two sub-spans, no row conversion. Each
+  // point runs the same SIMD bound-check kernel as a per-point Append.
   auto columnar =
       Pipeline::Builder().DefaultSpec("slide(eps=0.05)").Build().value();
   constexpr size_t kChunk = 256;

@@ -20,16 +20,20 @@
 // bit-identical to a scalar `cond ? a : b`. Min/max are expressed through
 // comparisons and Select rather than native min/max instructions, whose
 // ±0 and NaN conventions differ from the C++ ternary they replace.
-// Consequently a kernel vectorized across dimensions produces the same
-// bytes as its scalar loop, which the property harness verifies end to
-// end (byte-identical segments across the full pipeline matrix).
+// Consequently a kernel's Pack and Scalar instantiations produce the same
+// bytes: tests/common_test.cc checks every operation here lane by lane,
+// and the property harness and the golden chain digests check the filters
+// end to end.
 //
 // Dispatch policy: width is fixed at compile time from the target ISA
-// (`__AVX2__`, `__SSE2__`/x86-64, else scalar). A runtime escape hatch —
-// the PLASTREAM_FORCE_SCALAR environment variable or SetForceScalar() —
-// routes the filters' batch overrides back through the per-point scalar
-// path, which is how the bench measures SIMD-vs-scalar in one process and
-// how tests cross-check equivalence.
+// (`__AVX2__`, `__SSE2__`/x86-64, else scalar). Each filter family writes
+// its per-dimension check and update once, as a lane template, and runs it
+// through ForEachLaneGroup for every entry point (per point, row batch,
+// columnar batch). SetForceScalar(true) makes that walk run every
+// dimension at one lane: the 1-lane instantiation of the same kernel,
+// which the bench uses to measure what the vector lanes buy and the tests
+// use to cross-check the two instantiations. There is no environment
+// variable or other runtime option.
 
 #ifndef PLASTREAM_COMMON_SIMD_H_
 #define PLASTREAM_COMMON_SIMD_H_
@@ -37,7 +41,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
-#include <cstdlib>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -61,32 +64,24 @@ inline constexpr const char* kIsa = "scalar";
 #endif
 
 namespace internal {
-inline std::atomic<int>& ForceScalarState() {
-  // -1 = read the environment on first use; 0/1 = resolved.
-  static std::atomic<int> state{-1};
-  return state;
-}
+inline std::atomic<bool> force_scalar{false};
 }  // namespace internal
 
-/// True when the vectorized batch kernels should fall back to the scalar
-/// per-point path. Initialized from the PLASTREAM_FORCE_SCALAR environment
-/// variable; overridable at runtime with SetForceScalar().
+/// True when ForEachLaneGroup runs every dimension at one lane.
 inline bool ForceScalar() {
-  int state = internal::ForceScalarState().load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = std::getenv("PLASTREAM_FORCE_SCALAR") != nullptr ? 1 : 0;
-    internal::ForceScalarState().store(state, std::memory_order_relaxed);
-  }
-  return state == 1;
+  return internal::force_scalar.load(std::memory_order_relaxed);
 }
 
-/// Overrides the force-scalar switch (benches and equivalence tests).
+/// Sets the ForceScalar switch: the test and bench seam. Every lane
+/// kernel gives the same bits at either setting, so flipping it never
+/// changes a filter's output.
 inline void SetForceScalar(bool on) {
-  internal::ForceScalarState().store(on ? 1 : 0, std::memory_order_relaxed);
+  internal::force_scalar.store(on, std::memory_order_relaxed);
 }
 
 /// One-lane pack: plain double arithmetic behind the pack interface. Used
-/// for loop tails (dims % width) and as the Pack type on non-SIMD targets.
+/// for loop tails (dims % width), for every dimension when ForceScalar()
+/// is set, and as the Pack type on non-SIMD targets.
 struct Scalar {
   /// Lane payload.
   double v = 0.0;
@@ -298,6 +293,27 @@ inline void KahanAdd(double* sum, double* comp, V value) {
       Select(Abs(s) >= Abs(value), (s - t) + value, (value - t) + s);
   (c + correction).Store(comp);
   t.Store(sum);
+}
+
+/// Walks dimensions [0, d) in lane groups: full Pack groups, then the
+/// remainder one Scalar lane at a time, or every dimension as a Scalar lane
+/// when ForceScalar() is set. For each group starting at dimension i it
+/// calls `body.template operator()<V>(i)` with V the group's pack type,
+/// e.g. `[&]<typename V>(size_t i) { ...; return false; }`. The body
+/// returns true to stop the walk, which then returns true; the walk
+/// returns false after visiting every group.
+template <typename Body>
+inline bool ForEachLaneGroup(size_t d, Body&& body) {
+  size_t i = 0;
+  if (!ForceScalar()) {
+    for (; i + Pack::kLanes <= d; i += Pack::kLanes) {
+      if (body.template operator()<Pack>(i)) return true;
+    }
+  }
+  for (; i < d; ++i) {
+    if (body.template operator()<Scalar>(i)) return true;
+  }
+  return false;
 }
 
 }  // namespace simd

@@ -7,29 +7,6 @@
 
 namespace plastream {
 
-void KahanSum::Add(double value) {
-  // Neumaier's variant: also correct when |value| > |sum_|.
-  const double t = sum_ + value;
-  if (std::abs(sum_) >= std::abs(value)) {
-    compensation_ += (sum_ - t) + value;
-  } else {
-    compensation_ += (value - t) + sum_;
-  }
-  sum_ = t;
-}
-
-void KahanVec::Add(size_t i, double value) {
-  // KahanSum::Add verbatim on the i-th (sum, compensation) pair, so SoA
-  // accumulators stay bit-identical to an array of KahanSum.
-  const double t = sum_[i] + value;
-  if (std::abs(sum_[i]) >= std::abs(value)) {
-    comp_[i] += (sum_[i] - t) + value;
-  } else {
-    comp_[i] += (value - t) + sum_[i];
-  }
-  sum_[i] = t;
-}
-
 void RunningStats::Add(double value) {
   if (count_ == 0) {
     min_ = value;

@@ -19,7 +19,16 @@ namespace plastream {
 class KahanSum {
  public:
   /// Adds one term.
-  void Add(double value);
+  void Add(double value) {
+    // Neumaier's variant: also correct when |value| > |sum_|.
+    const double t = sum_ + value;
+    if (std::abs(sum_) >= std::abs(value)) {
+      compensation_ += (sum_ - t) + value;
+    } else {
+      compensation_ += (value - t) + sum_;
+    }
+    sum_ = t;
+  }
 
   /// The compensated total so far.
   double Total() const { return sum_ + compensation_; }
@@ -38,9 +47,9 @@ class KahanSum {
 /// A fixed-length array of Kahan–Neumaier accumulators in structure-of-
 /// arrays layout: all sums contiguous, all compensations contiguous, so
 /// the filters' per-dimension least-squares sums can be updated with one
-/// vector operation per lane group (common/simd.h KahanAdd) while staying
-/// bit-identical to a std::vector<KahanSum> — Add(i, v) performs exactly
-/// KahanSum::Add's operation sequence on element i.
+/// vector operation per lane group (common/simd.h KahanAdd, which performs
+/// KahanSum::Add's exact operation sequence per lane) while staying
+/// bit-identical to a std::vector<KahanSum>.
 class KahanVec {
  public:
   /// Resizes to `n` zeroed accumulators.
@@ -51,9 +60,6 @@ class KahanVec {
 
   /// Number of accumulators.
   size_t size() const { return sum_.size(); }
-
-  /// Adds one term to accumulator `i` (KahanSum::Add, element-wise).
-  void Add(size_t i, double value);
 
   /// The compensated total of accumulator `i`.
   double Total(size_t i) const { return sum_[i] + comp_[i]; }

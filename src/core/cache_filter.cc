@@ -2,7 +2,6 @@
 
 #include "core/cache_filter.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/simd.h"
@@ -13,9 +12,8 @@ namespace plastream {
 namespace {
 
 // Lane group of the Accepts check: true in a lane when that dimension
-// rejects the point. Each lane replicates the scalar Accepts expressions
-// operation for operation (min/max as compare+Select, not native min/max,
-// whose ±0 convention differs from the std::min/std::max they replace).
+// rejects the point. Min and max are compare+Select in std::min/std::max's
+// operand order, not native min/max, whose ±0 convention differs.
 template <typename V>
 typename V::Mask CacheRejectLanes(CacheValueMode mode, const double* x,
                                   const double* eps, const double* first,
@@ -27,6 +25,7 @@ typename V::Mask CacheRejectLanes(CacheValueMode mode, const double* x,
     case CacheValueMode::kFirst:
       return Abs(vx - V::Load(first)) > veps;
     case CacheValueMode::kMidrange: {
+      // Representable by the midrange iff the value spread stays <= 2ε.
       const V vmn = V::Load(mn);
       const V vmx = V::Load(mx);
       const V lo = Select(vx < vmn, vx, vmn);
@@ -34,6 +33,8 @@ typename V::Mask CacheRejectLanes(CacheValueMode mode, const double* x,
       return (hi - lo) > (V::Broadcast(2.0) * veps);
     }
     case CacheValueMode::kMean: {
+      // The new mean must stay within ε of every point, i.e. of the
+      // updated extrema.
       const V vmn = V::Load(mn);
       const V vmx = V::Load(mx);
       const V lo = Select(vx < vmn, vx, vmn);
@@ -69,46 +70,6 @@ Result<std::unique_ptr<CacheFilter>> CacheFilter::Create(FilterOptions options,
 CacheFilter::CacheFilter(FilterOptions options, CacheValueMode mode,
                          SegmentSink* sink)
     : Filter(std::move(options), sink), mode_(mode) {}
-
-bool CacheFilter::Accepts(const DataPoint& point) const {
-  for (size_t i = 0; i < dimensions(); ++i) {
-    const double eps = epsilon(i);
-    const double v = point.x[i];
-    switch (mode_) {
-      case CacheValueMode::kFirst:
-        if (std::abs(v - first_[i]) > eps) return false;
-        break;
-      case CacheValueMode::kMidrange: {
-        // Representable by the midrange iff the value spread stays <= 2ε.
-        const double lo = std::min(min_[i], v);
-        const double hi = std::max(max_[i], v);
-        if (hi - lo > 2.0 * eps) return false;
-        break;
-      }
-      case CacheValueMode::kMean: {
-        // The new mean must stay within ε of every point, i.e. of the
-        // updated extrema.
-        const double lo = std::min(min_[i], v);
-        const double hi = std::max(max_[i], v);
-        const double mean =
-            (sum_[i] + v) / static_cast<double>(count_ + 1);
-        if (hi - mean > eps || mean - lo > eps) return false;
-        break;
-      }
-    }
-  }
-  return true;
-}
-
-void CacheFilter::Absorb(const DataPoint& point) {
-  t_last_ = point.t;
-  ++count_;
-  for (size_t i = 0; i < dimensions(); ++i) {
-    min_[i] = std::min(min_[i], point.x[i]);
-    max_[i] = std::max(max_[i], point.x[i]);
-    sum_[i] += point.x[i];
-  }
-}
 
 void CacheFilter::CloseInterval() {
   DimVec value(dimensions());
@@ -146,8 +107,7 @@ void CacheFilter::OpenInterval(const DataPoint& point) {
   sum_ = point.x;
 }
 
-bool CacheFilter::AcceptsVec(const DataPoint& point) const {
-  const size_t d = dimensions();
+bool CacheFilter::Accepts(const DataPoint& point) const {
   const double* x = point.x.data();
   const double* eps = options().epsilon.data();
   const double* first = first_.data();
@@ -155,73 +115,23 @@ bool CacheFilter::AcceptsVec(const DataPoint& point) const {
   const double* mx = max_.data();
   const double* sum = sum_.data();
   const double count_plus_one = static_cast<double>(count_ + 1);
-  size_t i = 0;
-  for (; i + simd::Pack::kLanes <= d; i += simd::Pack::kLanes) {
-    if (CacheRejectLanes<simd::Pack>(mode_, x + i, eps + i, first + i, mn + i,
-                                     mx + i, sum + i, count_plus_one)
-            .Any()) {
-      return false;
-    }
-  }
-  for (; i < d; ++i) {
-    if (CacheRejectLanes<simd::Scalar>(mode_, x + i, eps + i, first + i,
-                                       mn + i, mx + i, sum + i,
-                                       count_plus_one)
-            .Any()) {
-      return false;
-    }
-  }
-  return true;
+  return !simd::ForEachLaneGroup(dimensions(), [&]<typename V>(size_t i) {
+    return CacheRejectLanes<V>(mode_, x + i, eps + i, first + i, mn + i,
+                               mx + i, sum + i, count_plus_one)
+        .Any();
+  });
 }
 
-void CacheFilter::AbsorbVec(const DataPoint& point) {
+void CacheFilter::Absorb(const DataPoint& point) {
   t_last_ = point.t;
   ++count_;
-  const size_t d = dimensions();
   const double* x = point.x.data();
   double* mn = min_.data();
   double* mx = max_.data();
   double* sum = sum_.data();
-  size_t i = 0;
-  for (; i + simd::Pack::kLanes <= d; i += simd::Pack::kLanes) {
-    CacheAbsorbLanes<simd::Pack>(x + i, mn + i, mx + i, sum + i);
-  }
-  for (; i < d; ++i) {
-    CacheAbsorbLanes<simd::Scalar>(x + i, mn + i, mx + i, sum + i);
-  }
-}
-
-void CacheFilter::AppendValidatedVec(const DataPoint& point) {
-  if (!interval_open_) {
-    OpenInterval(point);
-    return;
-  }
-  if (AcceptsVec(point)) {
-    AbsorbVec(point);
-    return;
-  }
-  CloseInterval();
-  OpenInterval(point);
-}
-
-Status CacheFilter::AppendBatch(std::span<const DataPoint> points) {
-  if (simd::ForceScalar()) return Filter::AppendBatch(points);
-  for (const DataPoint& point : points) {
-    PLASTREAM_RETURN_NOT_OK(ValidateForAppend(point));
-    AppendValidatedVec(point);
-    NoteAppended(point.t);
-  }
-  return Status::OK();
-}
-
-Status CacheFilter::AppendBatch(std::span<const double> ts,
-                                std::span<const double> vals) {
-  if (simd::ForceScalar()) return Filter::AppendBatch(ts, vals);
-  return ForEachColumnarPoint(ts, vals, [this](const DataPoint& point) {
-    PLASTREAM_RETURN_NOT_OK(ValidateForAppend(point));
-    AppendValidatedVec(point);
-    NoteAppended(point.t);
-    return Status::OK();
+  simd::ForEachLaneGroup(dimensions(), [&]<typename V>(size_t i) {
+    CacheAbsorbLanes<V>(x + i, mn + i, mx + i, sum + i);
+    return false;
   });
 }
 

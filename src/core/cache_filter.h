@@ -54,15 +54,6 @@ class CacheFilter : public Filter {
   /// The representative-value policy in use.
   CacheValueMode mode() const { return mode_; }
 
-  /// Batch append through the SIMD range-check kernel (vectorized across
-  /// dimensions); byte-identical to the per-point path.
-  Status AppendBatch(std::span<const DataPoint> points) override;
-
-  /// Columnar batch append through the same SIMD kernel (see
-  /// Filter::AppendBatch(ts, vals) for the layout contract).
-  Status AppendBatch(std::span<const double> ts,
-                     std::span<const double> vals) override;
-
  protected:
   Status AppendValidated(const DataPoint& point) override;
   Status FinishImpl() override;
@@ -71,14 +62,10 @@ class CacheFilter : public Filter {
  private:
   CacheFilter(FilterOptions options, CacheValueMode mode, SegmentSink* sink);
 
-  // True when `point` can be represented by the open interval.
+  // True when `point` can be represented by the open interval
+  // (CacheRejectLanes over every lane group).
   bool Accepts(const DataPoint& point) const;
-  // Accepts/Absorb with the dimension loop vectorized (bit-identical).
-  bool AcceptsVec(const DataPoint& point) const;
-  void AbsorbVec(const DataPoint& point);
-  // AppendValidated with the vectorized kernels (input already validated).
-  void AppendValidatedVec(const DataPoint& point);
-  // Folds an accepted point into the interval state.
+  // Folds an accepted point into the interval state (CacheAbsorbLanes).
   void Absorb(const DataPoint& point);
   // Emits the open interval as a horizontal segment.
   void CloseInterval();

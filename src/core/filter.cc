@@ -81,7 +81,13 @@ void Filter::NoteAppended(double t) {
 }
 
 Status Filter::Append(const DataPoint& point) {
-  PLASTREAM_RETURN_NOT_OK(ValidateForAppend(point));
+  // Every check ValidateForAppend makes, as one branch-light test: only a
+  // rejected point pays for its ordered walk and message.
+  bool valid = !finished_ && point.x.size() == dimensions() &&
+               std::isfinite(point.t) &&
+               (!has_last_time_ || point.t > last_time_);
+  for (double v : point.x) valid &= std::isfinite(v);
+  if (!valid) PLASTREAM_RETURN_NOT_OK(ValidateForAppend(point));
   PLASTREAM_RETURN_NOT_OK(AppendValidated(point));
   NoteAppended(point.t);
   return Status::OK();
@@ -94,22 +100,26 @@ Status Filter::AppendBatch(std::span<const DataPoint> points) {
   return Status::OK();
 }
 
-Status Filter::ValidateColumnarShape(std::span<const double> ts,
-                                     std::span<const double> vals) const {
-  if (vals.size() != ts.size() * dimensions()) {
-    return Status::InvalidArgument(
-        "columnar batch has " + std::to_string(vals.size()) +
-        " values for " + std::to_string(ts.size()) + " timestamps of a " +
-        std::to_string(dimensions()) + "-dimensional stream (expected " +
-        std::to_string(ts.size() * dimensions()) + ")");
-  }
-  return Status::OK();
-}
-
 Status Filter::AppendBatch(std::span<const double> ts,
                            std::span<const double> vals) {
-  return ForEachColumnarPoint(
-      ts, vals, [this](const DataPoint& point) { return Append(point); });
+  const size_t n = ts.size();
+  const size_t d = dimensions();
+  if (vals.size() != n * d) {
+    return Status::InvalidArgument(
+        "columnar batch has " + std::to_string(vals.size()) +
+        " values for " + std::to_string(n) + " timestamps of a " +
+        std::to_string(d) + "-dimensional stream (expected " +
+        std::to_string(n * d) + ")");
+  }
+  columnar_scratch_.x.resize(d);
+  for (size_t j = 0; j < n; ++j) {
+    columnar_scratch_.t = ts[j];
+    for (size_t i = 0; i < d; ++i) {
+      columnar_scratch_.x[i] = vals[i * n + j];
+    }
+    PLASTREAM_RETURN_NOT_OK(Append(columnar_scratch_));
+  }
+  return Status::OK();
 }
 
 Status Filter::Finish() {

@@ -106,15 +106,14 @@ class Filter {
   /// unchanged and the stream may continue with a corrected point.
   Status Append(const DataPoint& point);
 
-  /// Consumes a batch of data points in order — the hot-path entry for
-  /// bulk ingest. Semantically identical to calling Append per point
-  /// (same validation, same segments); stops at the first error, leaving
+  /// Consumes a batch of data points in order — the entry for bulk
+  /// ingest. Semantically identical to calling Append per point (same
+  /// validation, same segments); stops at the first error, leaving
   /// earlier points of the batch applied, exactly like a per-point loop.
-  /// The default implementation loops over Append; families with a
-  /// vectorizable inner loop may override it, but must keep the emitted
-  /// segment chain byte-identical to the per-point path (the SIMD kernels
-  /// of cache/swing/slide are held to this by the property harness, and
-  /// simd::SetForceScalar routes overrides back through the scalar path).
+  /// Both AppendBatch overloads loop over Append, so every entry point
+  /// runs a family's one AppendValidated. They stay virtual for
+  /// decorators that wrap a whole batch (e.g. timing); a decorator that
+  /// bypasses Append calls NoteAppended per applied point.
   virtual Status AppendBatch(std::span<const DataPoint> points);
 
   /// Columnar batch append: the zero-copy entry for CSV/Arrow-style
@@ -192,7 +191,9 @@ class Filter {
   std::optional<double> Counter(std::string_view name) const;
 
  protected:
-  /// Core per-point logic; input is already validated.
+  /// Core per-point logic; input is already validated. Every Append and
+  /// AppendBatch reaches the filter through here, so a built-in family
+  /// implements its per-point check and update once, in this override.
   virtual Status AppendValidated(const DataPoint& point) = 0;
 
   /// Flush logic; runs exactly once.
@@ -206,50 +207,11 @@ class Filter {
   /// it.
   virtual Status CutImpl();
 
-  /// Validates `point` exactly as Append does — same checks, same status
-  /// codes, same messages — without applying it. Batch overrides run this
-  /// per point so their error behavior is indistinguishable from the
-  /// per-point path.
-  Status ValidateForAppend(const DataPoint& point) const;
-
   /// The bookkeeping Append performs after AppendValidated succeeds
-  /// (ordering watermark and points_seen). Batch overrides that bypass
-  /// Append must call this once per applied point, with the point's time.
+  /// (ordering watermark and points_seen). A decorator whose AppendBatch
+  /// bypasses Append must call this once per applied point, with the
+  /// point's time.
   void NoteAppended(double t);
-
-  /// Validates the shape of a columnar batch: vals.size() must equal
-  /// ts.size() * dimensions(). Errors with InvalidArgument (message prefix
-  /// "columnar batch"); nothing may be applied on failure.
-  Status ValidateColumnarShape(std::span<const double> ts,
-                               std::span<const double> vals) const;
-
-  /// Reused gather target for columnar appends: overrides assemble each
-  /// point into this scratch (inline DimVec storage for d <= 8, so the
-  /// gather allocates nothing in steady state).
-  DataPoint columnar_scratch_;
-
-  /// Shared driver for columnar appends: validates the span shape, then
-  /// gathers each point into columnar_scratch_ and invokes
-  /// `per_point(const DataPoint&) -> Status`, stopping at the first
-  /// error. Families build their overrides on this so row and columnar
-  /// ingest share one per-point flow.
-  template <typename PerPoint>
-  Status ForEachColumnarPoint(std::span<const double> ts,
-                              std::span<const double> vals,
-                              PerPoint&& per_point) {
-    PLASTREAM_RETURN_NOT_OK(ValidateColumnarShape(ts, vals));
-    const size_t n = ts.size();
-    const size_t d = dimensions();
-    columnar_scratch_.x.resize(d);
-    for (size_t j = 0; j < n; ++j) {
-      columnar_scratch_.t = ts[j];
-      for (size_t i = 0; i < d; ++i) {
-        columnar_scratch_.x[i] = vals[i * n + j];
-      }
-      PLASTREAM_RETURN_NOT_OK(per_point(columnar_scratch_));
-    }
-    return Status::OK();
-  }
 
   /// Emits a finalized segment: handed to the sink when one exists (no
   /// second buffered copy), otherwise moved into the TakeSegments buffer.
@@ -262,6 +224,10 @@ class Filter {
   double epsilon(size_t dim) const { return options_.epsilon[dim]; }
 
  private:
+  /// Validates `point` exactly as Append does — same checks, same status
+  /// codes, same messages — without applying it.
+  Status ValidateForAppend(const DataPoint& point) const;
+
   FilterOptions options_;
   SegmentSink* sink_ = nullptr;
   std::vector<Segment> pending_out_;
@@ -272,6 +238,9 @@ class Filter {
   bool finished_ = false;
   bool has_last_time_ = false;
   double last_time_ = 0.0;
+  // Reused gather target of the columnar AppendBatch (inline DimVec
+  // storage for d <= 8, so the gather allocates nothing in steady state).
+  DataPoint columnar_scratch_;
 };
 
 }  // namespace plastream

@@ -6,9 +6,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "common/simd.h"
@@ -23,11 +20,6 @@ namespace {
 // leaves the common junction time underdetermined for d > 1; see DESIGN.md).
 constexpr int kJunctionGridSamples = 65;
 
-bool DebugJunctions() {
-  static const bool enabled = std::getenv("PLASTREAM_DEBUG_JUNCTIONS");
-  return enabled;
-}
-
 // Bound lines are evaluated from the SoA shadows with Line::ValueAt's
 // exact operation order (anchor.x + slope * (t - anchor.t)), so each lane
 // replicates the scalar expression bit for bit.
@@ -36,9 +28,9 @@ bool DebugJunctions() {
 // masks derive from one evaluation of the bound lines, halving the loads
 // and line evaluations per point. `update` is true in a lane when that
 // dimension needs a bound update (l slides up or u slides down); the
-// actual slide is rare and runs the exact scalar update for the group.
-// The bound lines are unchanged between the two scalar checks this fuses
-// (AddToGeometry touches only the hull), so fusing cannot alter behavior.
+// actual slide is rare and runs SlideBoundsForDim for the group. The
+// bound lines cannot change between the check and the slide
+// (AddToGeometry touches only the hull), so one evaluation serves both.
 template <typename V>
 void SlideCheckLanes(const double* x, const double* eps, const double* ut,
                      const double* ux, const double* us, const double* lt,
@@ -53,8 +45,8 @@ void SlideCheckLanes(const double* x, const double* eps, const double* ut,
   *update = (vx > lval + veps) | (vx < uval - veps);
 }
 
-// Lane group of AccumulateSums' per-dimension Kahan accumulation, same
-// Neumaier operation order as KahanSum::Add (via simd::KahanAdd).
+// Lane group of AccumulateSums' per-dimension Kahan accumulation, in
+// KahanSum::Add's Neumaier operation order (via simd::KahanAdd).
 template <typename V>
 void SlideAccumulateLanes(const double* x, const double* firstx, double dt,
                           double* sx_s, double* sx_c, double* sxt_s,
@@ -146,12 +138,15 @@ void SlideFilter::AccumulateSums(const DataPoint& point) {
   const double dt = point.t - cur_.first.t;
   cur_.st.Add(dt);
   cur_.stt.Add(dt * dt);
-  for (size_t i = 0; i < dimensions(); ++i) {
-    const double dx = point.x[i] - cur_.first.x[i];
-    cur_.sx.Add(i, dx);
-    cur_.sxt.Add(i, dx * dt);
-    cur_.sxx.Add(i, dx * dx);
-  }
+  const double* x = point.x.data();
+  const double* firstx = cur_.first.x.data();
+  simd::ForEachLaneGroup(dimensions(), [&]<typename V>(size_t i) {
+    SlideAccumulateLanes<V>(
+        x + i, firstx + i, dt, cur_.sx.sum_data() + i, cur_.sx.comp_data() + i,
+        cur_.sxt.sum_data() + i, cur_.sxt.comp_data() + i,
+        cur_.sxx.sum_data() + i, cur_.sxx.comp_data() + i);
+    return false;
+  });
 }
 
 void SlideFilter::InitBounds(const DataPoint& second) {
@@ -186,43 +181,23 @@ void SlideFilter::RefreshBoundShadows() {
   }
 }
 
-bool SlideFilter::Violates(const DataPoint& point) const {
-  for (size_t i = 0; i < dimensions(); ++i) {
-    const double eps = epsilon(i);
-    if (point.x[i] > cur_.u[i].ValueAt(point.t) + eps) return true;
-    if (point.x[i] < cur_.l[i].ValueAt(point.t) - eps) return true;
-  }
-  return false;
-}
-
-bool SlideFilter::ViolatesVec(const DataPoint& point) {
-  // One fused pass fills upd_flags_ (per lane group) for AcceptVec to
-  // consume when the point is kept. An early return on violation leaves
-  // later flags stale, but the close path never reads them.
-  const size_t d = dimensions();
+bool SlideFilter::Violates(const DataPoint& point) {
+  // One fused pass fills upd_flags_ for Accept to consume when the point
+  // is kept: every dimension of a group gets the group's slide trigger. An
+  // early return on violation leaves later flags stale, but the close path
+  // never reads them.
   const double* x = point.x.data();
   const double* eps = options().epsilon.data();
   const double t = point.t;
-  size_t i = 0;
-  for (; i + simd::Pack::kLanes <= d; i += simd::Pack::kLanes) {
-    simd::Pack::Mask violates, update;
-    SlideCheckLanes<simd::Pack>(x + i, eps + i, sh_ut_.data() + i,
-                                sh_ux_.data() + i, sh_us_.data() + i,
-                                sh_lt_.data() + i, sh_lx_.data() + i,
-                                sh_ls_.data() + i, t, &violates, &update);
+  return simd::ForEachLaneGroup(dimensions(), [&]<typename V>(size_t i) {
+    typename V::Mask violates, update;
+    SlideCheckLanes<V>(x + i, eps + i, sh_ut_.data() + i, sh_ux_.data() + i,
+                       sh_us_.data() + i, sh_lt_.data() + i, sh_lx_.data() + i,
+                       sh_ls_.data() + i, t, &violates, &update);
     if (violates.Any()) return true;
-    upd_flags_[i] = update.Any() ? 1 : 0;
-  }
-  for (; i < d; ++i) {
-    simd::Scalar::Mask violates, update;
-    SlideCheckLanes<simd::Scalar>(x + i, eps + i, sh_ut_.data() + i,
-                                  sh_ux_.data() + i, sh_us_.data() + i,
-                                  sh_lt_.data() + i, sh_lx_.data() + i,
-                                  sh_ls_.data() + i, t, &violates, &update);
-    if (violates.Any()) return true;
-    upd_flags_[i] = update.Any() ? 1 : 0;
-  }
-  return false;
+    std::fill_n(upd_flags_.begin() + i, V::kLanes, update.Any() ? 1 : 0);
+    return false;
+  });
 }
 
 double SlideFilter::ExtremeCandidateSlope(size_t dim, const Point2& pivot,
@@ -254,22 +229,6 @@ double SlideFilter::ExtremeCandidateSlope(size_t dim, const Point2& pivot,
   return result.slope;
 }
 
-void SlideFilter::Accept(const DataPoint& point) {
-  // Algorithm 2, line 33: the hull is updated before the bound search, and
-  // the time guard inside the search keeps the new point from pairing with
-  // itself.
-  AddToGeometry(point);
-  bool slid = false;
-  for (size_t i = 0; i < dimensions(); ++i) {
-    slid |= SlideBoundsForDim(i, point);
-  }
-  if (slid) RefreshBoundShadows();
-  AccumulateSums(point);
-  cur_.last = point;
-  ++cur_.n;
-  RecordHullSize();
-}
-
 bool SlideFilter::SlideBoundsForDim(size_t i, const DataPoint& point) {
   const double eps = epsilon(i);
   const double t = point.t;
@@ -298,51 +257,20 @@ bool SlideFilter::SlideBoundsForDim(size_t i, const DataPoint& point) {
   return slid;
 }
 
-void SlideFilter::AcceptVec(const DataPoint& point) {
-  // Same structure as Accept: geometry first (the time guard inside the
-  // bound search keeps the new point from pairing with itself), then the
-  // slide trigger from the flags ViolatesVec's fused pass just computed
-  // (the bound lines cannot have changed in between). A triggered lane
-  // group replays the exact scalar conditions and update for its
-  // dimensions — slides are data-dependent scalar work, and the replay
-  // reads the same bound values the shadows mirror, so the result is
-  // bit-identical to the per-point path.
+void SlideFilter::Accept(const DataPoint& point) {
+  // Algorithm 2, line 33: the hull is updated before the bound search, and
+  // the time guard inside the search keeps the new point from pairing with
+  // itself. The slide trigger comes from the flags Violates' fused pass
+  // just computed (the bound lines cannot have changed in between); a
+  // flagged dimension runs SlideBoundsForDim, the data-dependent scalar
+  // slide, which re-tests its own triggers.
   AddToGeometry(point);
-  const size_t d = dimensions();
-  const double* x = point.x.data();
   bool slid = false;
-  size_t i = 0;
-  for (; i + simd::Pack::kLanes <= d; i += simd::Pack::kLanes) {
-    if (upd_flags_[i] != 0) {
-      for (size_t j = i; j < i + simd::Pack::kLanes; ++j) {
-        slid |= SlideBoundsForDim(j, point);
-      }
-    }
-  }
-  for (; i < d; ++i) {
-    if (upd_flags_[i] != 0) {
-      slid |= SlideBoundsForDim(i, point);
-    }
+  for (size_t i = 0; i < dimensions(); ++i) {
+    if (upd_flags_[i] != 0) slid |= SlideBoundsForDim(i, point);
   }
   if (slid) RefreshBoundShadows();
-  // AccumulateSums with the per-dimension loop vectorized.
-  const double dt = point.t - cur_.first.t;
-  cur_.st.Add(dt);
-  cur_.stt.Add(dt * dt);
-  const double* firstx = cur_.first.x.data();
-  size_t k = 0;
-  for (; k + simd::Pack::kLanes <= d; k += simd::Pack::kLanes) {
-    SlideAccumulateLanes<simd::Pack>(
-        x + k, firstx + k, dt, cur_.sx.sum_data() + k, cur_.sx.comp_data() + k,
-        cur_.sxt.sum_data() + k, cur_.sxt.comp_data() + k,
-        cur_.sxx.sum_data() + k, cur_.sxx.comp_data() + k);
-  }
-  for (; k < d; ++k) {
-    SlideAccumulateLanes<simd::Scalar>(
-        x + k, firstx + k, dt, cur_.sx.sum_data() + k, cur_.sx.comp_data() + k,
-        cur_.sxt.sum_data() + k, cur_.sxt.comp_data() + k,
-        cur_.sxx.sum_data() + k, cur_.sxx.comp_data() + k);
-  }
+  AccumulateSums(point);
   cur_.last = point;
   ++cur_.n;
   RecordHullSize();
@@ -574,15 +502,6 @@ void SlideFilter::ResolveCloseAndShift(
     const bool feasible = tail_ok || gap_ok;
     const double alpha = tail_ok ? tail_alpha : gap_alpha;
     const double beta = tail_ok ? tail_beta : gap_beta;
-    if (DebugJunctions() && feasible) {
-      // Field-debugging aid (set PLASTREAM_DEBUG_JUNCTIONS=1): one line per
-      // junction decision with the chosen placement and window.
-      std::fprintf(stderr,
-                   "[junction] tail=%d gap=%d window=[%.6f, %.6f] "
-                   "t_end_prev=%.3f t_first_cur=%.3f\n",
-                   tail_ok, gap_ok, alpha, beta, pending_.t_end,
-                   cur_.first.t);
-    }
 
     if (feasible) {
       // Pin the bounds so that every feasible slope crosses g^(k-1) inside
@@ -807,10 +726,6 @@ void SlideFilter::CloseFrozenInterval() {
 // --------------------------------------------------------------------------
 
 Status SlideFilter::AppendValidated(const DataPoint& point) {
-  return AppendCore(point, /*vectorized=*/false);
-}
-
-Status SlideFilter::AppendCore(const DataPoint& point, bool vectorized) {
   if (!cur_.open) {
     OpenInterval(point);
     return Status::OK();
@@ -837,40 +752,15 @@ Status SlideFilter::AppendCore(const DataPoint& point, bool vectorized) {
     MaybeFreeze();
     return Status::OK();
   }
-  if (vectorized ? ViolatesVec(point) : Violates(point)) {
+  if (Violates(point)) {
     CloseCurrentInterval();
     OpenInterval(point);
     MaybeFreeze();
     return Status::OK();
   }
-  if (vectorized) {
-    AcceptVec(point);
-  } else {
-    Accept(point);
-  }
+  Accept(point);
   MaybeFreeze();
   return Status::OK();
-}
-
-Status SlideFilter::AppendBatch(std::span<const DataPoint> points) {
-  if (simd::ForceScalar()) return Filter::AppendBatch(points);
-  for (const DataPoint& point : points) {
-    PLASTREAM_RETURN_NOT_OK(ValidateForAppend(point));
-    PLASTREAM_RETURN_NOT_OK(AppendCore(point, /*vectorized=*/true));
-    NoteAppended(point.t);
-  }
-  return Status::OK();
-}
-
-Status SlideFilter::AppendBatch(std::span<const double> ts,
-                                std::span<const double> vals) {
-  if (simd::ForceScalar()) return Filter::AppendBatch(ts, vals);
-  return ForEachColumnarPoint(ts, vals, [this](const DataPoint& point) {
-    PLASTREAM_RETURN_NOT_OK(ValidateForAppend(point));
-    PLASTREAM_RETURN_NOT_OK(AppendCore(point, /*vectorized=*/true));
-    NoteAppended(point.t);
-    return Status::OK();
-  });
 }
 
 Status SlideFilter::FinishImpl() {

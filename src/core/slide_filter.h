@@ -103,15 +103,6 @@ class SlideFilter : public Filter {
   /// The accessors above as named counters, readable through a Filter*.
   std::vector<FilterCounter> Counters() const override;
 
-  /// Batch append through the SIMD bound-check kernel (vectorized across
-  /// dimensions); byte-identical to the per-point path.
-  Status AppendBatch(std::span<const DataPoint> points) override;
-
-  /// Columnar batch append through the same SIMD kernel (see
-  /// Filter::AppendBatch(ts, vals) for the layout contract).
-  Status AppendBatch(std::span<const double> ts,
-                     std::span<const double> vals) override;
-
  protected:
   Status AppendValidated(const DataPoint& point) override;
   Status FinishImpl() override;
@@ -145,7 +136,7 @@ class SlideFilter : public Filter {
     std::vector<std::vector<Point2>> points;   // kAllPoints
     // Least-squares sums relative to (first.t, first.x): shared time sums
     // and per-dimension cross sums (see LsqSlopeThrough). The per-dim
-    // sums are SoA (KahanVec) so the batch kernel accumulates lane groups.
+    // sums are SoA (KahanVec) so the lane kernel accumulates lane groups.
     KahanSum st, stt;
     KahanVec sx, sxt, sxx;
     // Max-lag freeze state.
@@ -175,26 +166,20 @@ class SlideFilter : public Filter {
   // --- interval lifecycle -------------------------------------------------
   void OpenInterval(const DataPoint& point);
   void InitBounds(const DataPoint& second);
-  bool Violates(const DataPoint& point) const;
-  void Accept(const DataPoint& point);
   void AccumulateSums(const DataPoint& point);
   void AddToGeometry(const DataPoint& point);
-  // Violates/Accept with the dimension loops vectorized (bit-identical):
-  // ViolatesVec makes one fused pass over the SoA bound shadows, computing
-  // the violation verdict and the per-lane-group slide-trigger flags
-  // (upd_flags_) that AcceptVec then consumes; a triggered slide runs the
-  // exact scalar update for its lane group, then refreshes shadows.
-  bool ViolatesVec(const DataPoint& point);
-  void AcceptVec(const DataPoint& point);
-  // One dimension's slide update (Algorithm 2, lines 34-39), shared by the
-  // scalar and vectorized accept paths; true when a bound changed.
+  // Violates makes one fused pass over the SoA bound shadows, computing
+  // the violation verdict and the per-dimension slide-trigger flags
+  // (upd_flags_) that Accept then consumes; a flagged dimension runs
+  // SlideBoundsForDim, then the shadows are refreshed.
+  bool Violates(const DataPoint& point);
+  void Accept(const DataPoint& point);
+  // One dimension's slide update (Algorithm 2, lines 34-39); true when a
+  // bound changed.
   bool SlideBoundsForDim(size_t i, const DataPoint& point);
   // Copies cur_'s bound lines (anchor t/x, slope) into the SoA shadow
-  // arrays the vector kernels load from. Must run after any bound change.
+  // arrays the lane kernels load from. Must run after any bound change.
   void RefreshBoundShadows();
-  // Shared body of AppendValidated and the batch overrides; `vectorized`
-  // selects the SIMD kernels for the steady-state accept path.
-  Status AppendCore(const DataPoint& point, bool vectorized);
 
   // Replacement bound search dispatch (Lemmas 4.1/4.3).
   double ExtremeCandidateSlope(size_t dim, const Point2& pivot,
@@ -236,12 +221,12 @@ class SlideFilter : public Filter {
   Interval cur_;
   Pending pending_;
   // SoA shadows of cur_.u / cur_.l (anchor time, anchor value, slope) so
-  // the vector kernels load contiguous doubles instead of gathering from
+  // the lane kernels load contiguous doubles instead of gathering from
   // the array-of-Line layout. Refreshed by RefreshBoundShadows().
   std::vector<double> sh_ut_, sh_ux_, sh_us_;
   std::vector<double> sh_lt_, sh_lx_, sh_ls_;
-  // Slide-trigger flags from ViolatesVec's fused pass, indexed by a lane
-  // group's first dimension; valid only for the point just checked.
+  // Slide-trigger flags from Violates' fused pass, one per dimension (each
+  // holds its lane group's trigger); valid only for the point just checked.
   std::vector<uint8_t> upd_flags_;
   // Junction scratch buffers, hoisted onto the filter so closing an
   // interval reuses their capacity instead of allocating per segment cut.

@@ -13,8 +13,8 @@ namespace plastream {
 
 namespace {
 
-// Lane group of the Violates check: per lane, the scalar band test
-// pivot + slope * dt computed in the scalar operation order.
+// Lane group of the Violates check: per lane, the band test with each
+// bound in BoundAt's operation order, pivot + slope * dt.
 template <typename V>
 typename V::Mask SwingViolatesLanes(const double* x, const double* eps,
                                     const double* pivot, const double* su,
@@ -28,10 +28,35 @@ typename V::Mask SwingViolatesLanes(const double* x, const double* eps,
   return (vx > bu + veps) | (vx < bl - veps);
 }
 
-// Lane group of the filtering mechanism (Algorithm 1, lines 14-18) fused
-// with the least-squares accumulation: conditional slope clamps as
-// compute-then-blend, Kahan accumulation with KahanSum::Add's exact
-// operation sequence per lane.
+// Lane group of the least-squares accumulation (Eq. 6),
+// s1 += (x - pivot) * dt, with KahanSum::Add's exact operation sequence
+// per lane.
+template <typename V>
+void SwingAccumulateLanes(const double* x, const double* pivot, double dt,
+                          double* s1_sum, double* s1_comp) {
+  simd::KahanAdd(s1_sum, s1_comp,
+                 (V::Load(x) - V::Load(pivot)) * V::Broadcast(dt));
+}
+
+// Lane group of an interval's first point (Algorithm 1, lines 3 and 9):
+// u and l through (pivot, point + ε) and (pivot, point - ε), then the
+// point's least-squares term.
+template <typename V>
+void SwingStartLanes(const double* x, const double* eps, const double* pivot,
+                     double* su, double* sl, double dt, double* s1_sum,
+                     double* s1_comp) {
+  const V vx = V::Load(x);
+  const V veps = V::Load(eps);
+  const V vp = V::Load(pivot);
+  const V vdt = V::Broadcast(dt);
+  (((vx + veps) - vp) / vdt).Store(su);
+  (((vx - veps) - vp) / vdt).Store(sl);
+  SwingAccumulateLanes<V>(x, pivot, dt, s1_sum, s1_comp);
+}
+
+// Lane group of the filtering mechanism (Algorithm 1, lines 14-18), then
+// the point's least-squares term: conditional slope clamps as
+// compute-then-blend.
 template <typename V>
 void SwingUpdateLanes(const double* x, const double* eps, const double* pivot,
                       double* su, double* sl, double dt, double* s1_sum,
@@ -50,7 +75,7 @@ void SwingUpdateLanes(const double* x, const double* eps, const double* pivot,
   // Swing u down through (pivot, point + ε) where the point clears u - ε.
   const V new_su = ((vx + veps) - vp) / vdt;
   Select(vx < bu - veps, new_su, vsu).Store(su);
-  simd::KahanAdd(s1_sum, s1_comp, (vx - vp) * vdt);
+  SwingAccumulateLanes<V>(x, pivot, dt, s1_sum, s1_comp);
 }
 
 }  // namespace
@@ -76,18 +101,25 @@ double SwingFilter::BoundAt(double slope, double t, size_t i) const {
 }
 
 bool SwingFilter::Violates(const DataPoint& point) const {
-  for (size_t i = 0; i < dimensions(); ++i) {
-    const double eps = epsilon(i);
-    if (frozen_) {
-      // Linear-filter mode along the committed line.
+  if (frozen_) {
+    // Linear-filter mode along the committed line.
+    for (size_t i = 0; i < dimensions(); ++i) {
       const double pred = BoundAt(frozen_slope_[i], point.t, i);
-      if (std::abs(point.x[i] - pred) > eps) return true;
-      continue;
+      if (std::abs(point.x[i] - pred) > epsilon(i)) return true;
     }
-    if (point.x[i] > BoundAt(slope_u_[i], point.t, i) + eps) return true;
-    if (point.x[i] < BoundAt(slope_l_[i], point.t, i) - eps) return true;
+    return false;
   }
-  return false;
+  const double* x = point.x.data();
+  const double* eps = options().epsilon.data();
+  const double* pivot = pivot_x_.data();
+  const double* su = slope_u_.data();
+  const double* sl = slope_l_.data();
+  const double dt = point.t - pivot_t_;
+  return simd::ForEachLaneGroup(dimensions(), [&]<typename V>(size_t i) {
+    return SwingViolatesLanes<V>(x + i, eps + i, pivot + i, su + i, sl + i,
+                                 dt)
+        .Any();
+  });
 }
 
 double SwingFilter::ClampedLsqSlope(size_t i) const {
@@ -97,14 +129,6 @@ double SwingFilter::ClampedLsqSlope(size_t i) const {
   double slope = s2 > 0.0 ? s1_.Total(i) / s2
                           : 0.5 * (slope_l_[i] + slope_u_[i]);
   return std::clamp(slope, slope_l_[i], slope_u_[i]);
-}
-
-void SwingFilter::Accumulate(const DataPoint& point) {
-  const double dt = point.t - pivot_t_;
-  s2_.Add(dt * dt);
-  for (size_t i = 0; i < dimensions(); ++i) {
-    s1_.Add(i, (point.x[i] - pivot_x_[i]) * dt);
-  }
 }
 
 void SwingFilter::CloseInterval() {
@@ -130,18 +154,26 @@ void SwingFilter::CloseInterval() {
 
   bounds_defined_ = false;
   frozen_ = false;
-  interval_points_ = 0;
   s2_.Reset();
   s1_.Reset();
   unreported_ = 0;  // The recording brings the receiver fully up to date.
 }
 
 void SwingFilter::StartBounds(const DataPoint& point) {
-  for (size_t i = 0; i < dimensions(); ++i) {
-    const double dt = point.t - pivot_t_;
-    slope_u_[i] = (point.x[i] + epsilon(i) - pivot_x_[i]) / dt;
-    slope_l_[i] = (point.x[i] - epsilon(i) - pivot_x_[i]) / dt;
-  }
+  const double* x = point.x.data();
+  const double* eps = options().epsilon.data();
+  const double* pivot = pivot_x_.data();
+  double* su = slope_u_.data();
+  double* sl = slope_l_.data();
+  double* s1_sum = s1_.sum_data();
+  double* s1_comp = s1_.comp_data();
+  const double dt = point.t - pivot_t_;
+  s2_.Add(dt * dt);
+  simd::ForEachLaneGroup(dimensions(), [&]<typename V>(size_t i) {
+    SwingStartLanes<V>(x + i, eps + i, pivot + i, su + i, sl + i, dt,
+                       s1_sum + i, s1_comp + i);
+    return false;
+  });
   bounds_defined_ = true;
 }
 
@@ -162,35 +194,7 @@ void SwingFilter::Freeze() {
   unreported_ = 0;
 }
 
-bool SwingFilter::ViolatesVec(const DataPoint& point) const {
-  if (frozen_) return Violates(point);  // rare linear-filter mode
-  const size_t d = dimensions();
-  const double* x = point.x.data();
-  const double* eps = options().epsilon.data();
-  const double* pivot = pivot_x_.data();
-  const double* su = slope_u_.data();
-  const double* sl = slope_l_.data();
-  const double dt = point.t - pivot_t_;
-  size_t i = 0;
-  for (; i + simd::Pack::kLanes <= d; i += simd::Pack::kLanes) {
-    if (SwingViolatesLanes<simd::Pack>(x + i, eps + i, pivot + i, su + i,
-                                       sl + i, dt)
-            .Any()) {
-      return true;
-    }
-  }
-  for (; i < d; ++i) {
-    if (SwingViolatesLanes<simd::Scalar>(x + i, eps + i, pivot + i, su + i,
-                                         sl + i, dt)
-            .Any()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void SwingFilter::UpdateBoundsAndAccumulateVec(const DataPoint& point) {
-  const size_t d = dimensions();
+void SwingFilter::UpdateBoundsAndAccumulate(const DataPoint& point) {
   const double* x = point.x.data();
   const double* eps = options().epsilon.data();
   const double* pivot = pivot_x_.data();
@@ -200,18 +204,14 @@ void SwingFilter::UpdateBoundsAndAccumulateVec(const DataPoint& point) {
   double* s1_comp = s1_.comp_data();
   const double dt = point.t - pivot_t_;
   s2_.Add(dt * dt);
-  size_t i = 0;
-  for (; i + simd::Pack::kLanes <= d; i += simd::Pack::kLanes) {
-    SwingUpdateLanes<simd::Pack>(x + i, eps + i, pivot + i, su + i, sl + i,
-                                 dt, s1_sum + i, s1_comp + i);
-  }
-  for (; i < d; ++i) {
-    SwingUpdateLanes<simd::Scalar>(x + i, eps + i, pivot + i, su + i, sl + i,
-                                   dt, s1_sum + i, s1_comp + i);
-  }
+  simd::ForEachLaneGroup(dimensions(), [&]<typename V>(size_t i) {
+    SwingUpdateLanes<V>(x + i, eps + i, pivot + i, su + i, sl + i, dt,
+                        s1_sum + i, s1_comp + i);
+    return false;
+  });
 }
 
-Status SwingFilter::AppendCore(const DataPoint& point, bool vectorized) {
+Status SwingFilter::AppendValidated(const DataPoint& point) {
   if (!have_pivot_) {
     // Algorithm 1, lines 1-2: the first point is recorded as (t_0', X_0')
     // and becomes the pivot of the first interval.
@@ -219,86 +219,29 @@ Status SwingFilter::AppendCore(const DataPoint& point, bool vectorized) {
     pivot_t_ = point.t;
     pivot_x_ = point.x;
     t_last_ = point.t;
-    x_last_ = point.x;
     return Status::OK();
   }
-  if (!bounds_defined_) {
-    // Algorithm 1, line 3 / line 9: the first point after a recording
-    // defines the initial bounds.
+  if (!bounds_defined_ || Violates(point)) {
+    // Algorithm 1, lines 7-9 and 3: a violating point closes the interval,
+    // and the first point after a recording defines the initial bounds.
+    if (bounds_defined_) CloseInterval();
     StartBounds(point);
-    Accumulate(point);
     t_last_ = point.t;
-    x_last_ = point.x;
-    interval_points_ = 1;
-    ++unreported_;
-    return Status::OK();
-  }
-
-  if (vectorized ? ViolatesVec(point) : Violates(point)) {
-    CloseInterval();
-    StartBounds(point);
-    Accumulate(point);
-    t_last_ = point.t;
-    x_last_ = point.x;
-    interval_points_ = 1;
     ++unreported_;
     return Status::OK();
   }
 
   // Filtering mechanism (Algorithm 1, lines 14-18).
   if (!frozen_) {
-    if (vectorized) {
-      UpdateBoundsAndAccumulateVec(point);
-    } else {
-      for (size_t i = 0; i < dimensions(); ++i) {
-        const double eps = epsilon(i);
-        const double dt = point.t - pivot_t_;
-        if (point.x[i] > BoundAt(slope_l_[i], point.t, i) + eps) {
-          // Swing l up through (pivot, point - ε).
-          slope_l_[i] = (point.x[i] - eps - pivot_x_[i]) / dt;
-        }
-        if (point.x[i] < BoundAt(slope_u_[i], point.t, i) - eps) {
-          // Swing u down through (pivot, point + ε).
-          slope_u_[i] = (point.x[i] + eps - pivot_x_[i]) / dt;
-        }
-      }
-      Accumulate(point);
-    }
+    UpdateBoundsAndAccumulate(point);
     ++unreported_;
   }
   t_last_ = point.t;
-  x_last_ = point.x;
-  ++interval_points_;
 
   if (!frozen_ && options().max_lag > 0 && unreported_ >= options().max_lag) {
     Freeze();
   }
   return Status::OK();
-}
-
-Status SwingFilter::AppendValidated(const DataPoint& point) {
-  return AppendCore(point, /*vectorized=*/false);
-}
-
-Status SwingFilter::AppendBatch(std::span<const DataPoint> points) {
-  if (simd::ForceScalar()) return Filter::AppendBatch(points);
-  for (const DataPoint& point : points) {
-    PLASTREAM_RETURN_NOT_OK(ValidateForAppend(point));
-    PLASTREAM_RETURN_NOT_OK(AppendCore(point, /*vectorized=*/true));
-    NoteAppended(point.t);
-  }
-  return Status::OK();
-}
-
-Status SwingFilter::AppendBatch(std::span<const double> ts,
-                                std::span<const double> vals) {
-  if (simd::ForceScalar()) return Filter::AppendBatch(ts, vals);
-  return ForEachColumnarPoint(ts, vals, [this](const DataPoint& point) {
-    PLASTREAM_RETURN_NOT_OK(ValidateForAppend(point));
-    PLASTREAM_RETURN_NOT_OK(AppendCore(point, /*vectorized=*/true));
-    NoteAppended(point.t);
-    return Status::OK();
-  });
 }
 
 Status SwingFilter::FinishImpl() {
@@ -327,7 +270,6 @@ Status SwingFilter::CutImpl() {
   first_segment_ = true;
   bounds_defined_ = false;
   frozen_ = false;
-  interval_points_ = 0;
   s2_.Reset();
   s1_.Reset();
   unreported_ = 0;

@@ -44,15 +44,6 @@ class SwingFilter : public Filter {
     return {{"unreported_points", static_cast<double>(unreported_)}};
   }
 
-  /// Batch append through the SIMD slope-clamp kernel (vectorized across
-  /// dimensions); byte-identical to the per-point path.
-  Status AppendBatch(std::span<const DataPoint> points) override;
-
-  /// Columnar batch append through the same SIMD kernel (see
-  /// Filter::AppendBatch(ts, vals) for the layout contract).
-  Status AppendBatch(std::span<const double> ts,
-                     std::span<const double> vals) override;
-
  protected:
   Status AppendValidated(const DataPoint& point) override;
   Status FinishImpl() override;
@@ -64,25 +55,19 @@ class SwingFilter : public Filter {
   // Bound value at time t for dimension i: pivot + slope * (t - pivot_t).
   double BoundAt(double slope, double t, size_t i) const;
   // True when the point violates the ±ε band around [l_i, u_i] in any
-  // dimension (Algorithm 1, line 7).
+  // dimension (Algorithm 1, line 7), or strays more than ε from the
+  // committed line in frozen mode.
   bool Violates(const DataPoint& point) const;
-  // Violates with the dimension loop vectorized (bit-identical); falls
-  // back to the scalar check in frozen mode.
-  bool ViolatesVec(const DataPoint& point) const;
-  // The swing updates (Algorithm 1, lines 14-18) fused with Accumulate,
-  // vectorized across dimensions with compute-then-blend slope clamps.
-  void UpdateBoundsAndAccumulateVec(const DataPoint& point);
-  // Shared body of AppendValidated and the batch overrides; `vectorized`
-  // selects the SIMD kernels for the steady-state accept path.
-  Status AppendCore(const DataPoint& point, bool vectorized);
+  // The swing updates (Algorithm 1, lines 14-18) and the point's
+  // least-squares terms, one SwingUpdateLanes call per lane group.
+  void UpdateBoundsAndAccumulate(const DataPoint& point);
   // Least-squares slope for dimension i, clamped into [l, u] (Eq. 5-6).
   double ClampedLsqSlope(size_t i) const;
   // Closes the interval with a recording at t_last_ and emits the segment.
   void CloseInterval();
-  // Starts the next interval from the pivot with bounds through `point`.
+  // Starts the next interval from the pivot with bounds through `point`
+  // and folds the point into the least-squares sums.
   void StartBounds(const DataPoint& point);
-  // Folds the point into the least-squares sums.
-  void Accumulate(const DataPoint& point);
   // Commits the clamped-LSQ line early (max-lag freeze).
   void Freeze();
 
@@ -98,12 +83,10 @@ class SwingFilter : public Filter {
   DimVec slope_u_;
   DimVec slope_l_;
   double t_last_ = 0.0;
-  DimVec x_last_;
-  size_t interval_points_ = 0;
 
   // Incremental least-squares sums relative to the pivot (Eq. 6):
   // s1_[i] = Σ (x_ij - pivot_x_i)(t_j - pivot_t), s2_ = Σ (t_j - pivot_t)^2.
-  // s1_ is SoA (KahanVec) so the batch kernel accumulates lane groups.
+  // s1_ is SoA (KahanVec) so the lane kernel accumulates lane groups.
   KahanVec s1_;
   KahanSum s2_;
 

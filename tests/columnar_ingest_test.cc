@@ -5,15 +5,19 @@
 // to the per-point path across filter families x dims x shard counts x
 // ingest guard on/off, stop at the first error with the "columnar batch"
 // prefix for malformed spans, and treat empty batches as no-ops. The
-// forced-scalar kernel toggle is part of the matrix, so the SIMD and
-// scalar paths are held to the same bytes.
+// forced-scalar leg holds each lane kernel's Pack and 1-lane
+// instantiations to the same bytes, and golden CRC32C digests pin the
+// reference chains themselves across commits and ISAs.
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/simd.h"
 #include "core/filter_registry.h"
 #include "datagen/correlated_walk.h"
@@ -65,40 +69,136 @@ void AppendColumnar(Filter& filter, const std::vector<DataPoint>& points,
   }
 }
 
+// CRC32C over a segment chain's exact bytes: per segment its times, its
+// start and end values (doubles in memory order) and its connected flag.
+uint32_t ChainDigest(const std::vector<Segment>& chain) {
+  uint32_t crc = 0;
+  const auto add = [&crc](const void* data, size_t bytes) {
+    crc = Crc32c(
+        std::span<const uint8_t>(static_cast<const uint8_t*>(data), bytes),
+        crc);
+  };
+  for (const Segment& seg : chain) {
+    add(&seg.t_start, sizeof(double));
+    add(&seg.t_end, sizeof(double));
+    add(seg.x_start.data(), seg.x_start.size() * sizeof(double));
+    add(seg.x_end.data(), seg.x_end.size() * sizeof(double));
+    const uint8_t connected = seg.connected_to_prev ? 1 : 0;
+    add(&connected, 1);
+  }
+  return crc;
+}
+
+// One pinned reference chain: the per-point output of `spec` over the
+// seeded correlated walk, identified by its CRC32C.
+struct GoldenChain {
+  const char* spec;
+  uint32_t digest;
+};
+
+// Every family at d in {1, 3, 4, 8, 9} (9 spills DimVec's inline storage
+// and leaves a one-lane tail on both SSE2 and AVX2), cache in all three
+// modes and swing/slide in max-lag (frozen) mode. The walk draws only
+// uniforms and a sqrt, so the bytes do not depend on the libm. A change
+// that moves one of these digests changes filter output: a behaviour
+// change to justify, never a constant to refresh silently.
+constexpr GoldenChain kGoldenChains[] = {
+    {"cache(eps=0.4,dims=1)", 0x9CBED772u},
+    {"cache(eps=0.4,dims=3)", 0xA93567E8u},
+    {"cache(eps=0.4,dims=4)", 0x39C17D15u},
+    {"cache(eps=0.4,dims=8)", 0x32EFFCBCu},
+    {"cache(eps=0.4,dims=9)", 0x73D08110u},
+    {"cache(mode=midrange,eps=0.4,dims=1)", 0x27B31292u},
+    {"cache(mode=midrange,eps=0.4,dims=3)", 0x27FB016Fu},
+    {"cache(mode=midrange,eps=0.4,dims=4)", 0x53BF2AF7u},
+    {"cache(mode=midrange,eps=0.4,dims=8)", 0x678B5081u},
+    {"cache(mode=midrange,eps=0.4,dims=9)", 0xC6292E1Du},
+    {"cache(mode=mean,eps=0.4,dims=1)", 0x08E52953u},
+    {"cache(mode=mean,eps=0.4,dims=3)", 0x64F1C271u},
+    {"cache(mode=mean,eps=0.4,dims=4)", 0xAABCED5Bu},
+    {"cache(mode=mean,eps=0.4,dims=8)", 0x2F6070B2u},
+    {"cache(mode=mean,eps=0.4,dims=9)", 0x9FE40F5Eu},
+    {"linear(eps=0.4,dims=1)", 0x794647C2u},
+    {"linear(eps=0.4,dims=3)", 0x79F050B3u},
+    {"linear(eps=0.4,dims=4)", 0xC0BB405Bu},
+    {"linear(eps=0.4,dims=8)", 0xACE6DF75u},
+    {"linear(eps=0.4,dims=9)", 0x06FE6026u},
+    {"swing(eps=0.4,dims=1)", 0xBC920BD4u},
+    {"swing(eps=0.4,dims=3)", 0xC72773ADu},
+    {"swing(eps=0.4,dims=4)", 0x7A189BBAu},
+    {"swing(eps=0.4,dims=8)", 0x81A15A00u},
+    {"swing(eps=0.4,dims=9)", 0x956B351Du},
+    {"slide(eps=0.4,dims=1)", 0x6AFD72FFu},
+    {"slide(eps=0.4,dims=3)", 0x829C9804u},
+    {"slide(eps=0.4,dims=4)", 0xC1DF44E1u},
+    {"slide(eps=0.4,dims=8)", 0xAB923E66u},
+    {"slide(eps=0.4,dims=9)", 0x62EF32B7u},
+    {"kalman(eps=0.4,dims=1)", 0x51E18894u},
+    {"kalman(eps=0.4,dims=3)", 0x65BCB1C5u},
+    {"kalman(eps=0.4,dims=4)", 0x4EF1191Bu},
+    {"kalman(eps=0.4,dims=8)", 0x3EE0E73Au},
+    {"kalman(eps=0.4,dims=9)", 0x3AB3F0B6u},
+    {"swing(max_lag=16,eps=2,dims=1)", 0x767EA956u},
+    {"swing(max_lag=16,eps=2,dims=3)", 0x29CDDA72u},
+    {"swing(max_lag=16,eps=2,dims=4)", 0x0DB62507u},
+    {"swing(max_lag=16,eps=2,dims=8)", 0x4186D1A8u},
+    {"swing(max_lag=16,eps=2,dims=9)", 0xE33B45E1u},
+    {"slide(max_lag=16,eps=2,dims=1)", 0x0375D0ADu},
+    {"slide(max_lag=16,eps=2,dims=3)", 0xD8BFC384u},
+    {"slide(max_lag=16,eps=2,dims=4)", 0x4A62B0FDu},
+    {"slide(max_lag=16,eps=2,dims=8)", 0x64BAD5C7u},
+    {"slide(max_lag=16,eps=2,dims=9)", 0xBD931DC9u},
+};
+
 TEST(ColumnarIngestTest, FilterColumnarMatchesRowAcrossFamiliesAndDims) {
-  const std::vector<std::string> families{"cache", "linear", "swing", "slide",
-                                          "kalman"};
-  for (const std::string& family : families) {
-    for (const size_t dims : {1u, 4u, 8u}) {
-      const Signal signal = MakeSignal(dims, 2500, 17 + dims);
-      const std::string spec = SpecFor(family, dims);
-
-      auto row = MakeFilter(spec).value();
-      for (const DataPoint& p : signal.points) {
-        ASSERT_TRUE(row->Append(p).ok());
-      }
-      ASSERT_TRUE(row->Finish().ok());
-      const auto expected = row->TakeSegments();
-
-      for (const size_t batch : {size_t{9}, size_t{256}}) {
-        auto columnar = MakeFilter(spec).value();
-        AppendColumnar(*columnar, signal.points, batch);
-        ASSERT_TRUE(columnar->Finish().ok());
-        EXPECT_EQ(columnar->TakeSegments(), expected)
-            << family << " dims=" << dims << " batch=" << batch;
-        EXPECT_EQ(columnar->points_seen(), row->points_seen());
-      }
-
-      // The forced-scalar route through the same overload must produce
-      // the same bytes as the SIMD kernels.
-      simd::SetForceScalar(true);
-      auto scalar = MakeFilter(spec).value();
-      AppendColumnar(*scalar, signal.points, 256);
-      ASSERT_TRUE(scalar->Finish().ok());
-      simd::SetForceScalar(false);
-      EXPECT_EQ(scalar->TakeSegments(), expected)
-          << family << " dims=" << dims << " (forced scalar)";
+  for (const GoldenChain& golden : kGoldenChains) {
+    auto row = MakeFilter(golden.spec).value();
+    const size_t dims = row->dimensions();
+    const Signal signal = MakeSignal(dims, 2500, 17 + dims);
+    for (const DataPoint& p : signal.points) {
+      ASSERT_TRUE(row->Append(p).ok());
     }
+    ASSERT_TRUE(row->Finish().ok());
+    const auto expected = row->TakeSegments();
+    EXPECT_EQ(ChainDigest(expected), golden.digest)
+        << golden.spec << " digest 0x" << std::hex << ChainDigest(expected);
+    if (row->options().max_lag > 0) {
+      // The max-lag chains must actually reach frozen mode.
+      EXPECT_GT(row->extra_recordings(), 0u) << golden.spec;
+    }
+
+    auto batched = MakeFilter(golden.spec).value();
+    for (size_t at = 0; at < signal.points.size(); at += 256) {
+      const size_t n = std::min<size_t>(256, signal.points.size() - at);
+      ASSERT_TRUE(batched
+                      ->AppendBatch(std::span<const DataPoint>(
+                          &signal.points[at], n))
+                      .ok());
+    }
+    ASSERT_TRUE(batched->Finish().ok());
+    EXPECT_EQ(batched->TakeSegments(), expected) << golden.spec << " (rows)";
+    EXPECT_EQ(batched->extra_recordings(), row->extra_recordings());
+
+    for (const size_t batch : {size_t{9}, size_t{256}}) {
+      auto columnar = MakeFilter(golden.spec).value();
+      AppendColumnar(*columnar, signal.points, batch);
+      ASSERT_TRUE(columnar->Finish().ok());
+      EXPECT_EQ(columnar->TakeSegments(), expected)
+          << golden.spec << " batch=" << batch;
+      EXPECT_EQ(columnar->points_seen(), row->points_seen());
+    }
+
+    // The 1-lane instantiation of the kernels must produce the same bytes
+    // as the Pack instantiation. The switch is restored before asserting,
+    // so a failure cannot leave later tests running at one lane.
+    auto scalar = MakeFilter(golden.spec).value();
+    simd::SetForceScalar(true);
+    AppendColumnar(*scalar, signal.points, 256);
+    const Status finished = scalar->Finish();
+    simd::SetForceScalar(false);
+    ASSERT_TRUE(finished.ok());
+    EXPECT_EQ(scalar->TakeSegments(), expected)
+        << golden.spec << " (forced scalar)";
   }
 }
 

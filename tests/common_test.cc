@@ -1,12 +1,16 @@
 // Copyright (c) 2026 The plastream Authors. MIT license.
 //
-// Unit tests for src/common: Status/Result, RNG, statistics, strings.
+// Unit tests for src/common: Status/Result, RNG, statistics, SIMD lanes,
+// strings.
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +18,7 @@
 #include "common/crc32c.h"
 #include "common/result.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/str_util.h"
@@ -325,6 +330,208 @@ TEST(PearsonCorrelationTest, MismatchedSizesYieldZero) {
   const std::vector<double> a{1, 2};
   const std::vector<double> b{1, 2, 3};
   EXPECT_DOUBLE_EQ(PearsonCorrelation(a, b), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// SIMD lanes: every simd.h operation on simd::Pack lanes gives the same
+// bits as on simd::Scalar, the exact-FP-equivalence rule the filters' one
+// kernel per family rests on.
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// IEEE-754 corner cases (signed zeros, subnormals, infinities, the
+// extreme finite magnitudes), then seeded finite doubles across 2^±40.
+std::vector<double> LaneInputs() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double max = std::numeric_limits<double>::max();
+  const double min_normal = std::numeric_limits<double>::min();
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  std::vector<double> inputs{0.0,        -0.0,        subnormal,
+                             -subnormal, 3 * subnormal, min_normal / 3,
+                             min_normal, -min_normal, max,
+                             -max,       inf,         -inf,
+                             1.0,        -1.0,        0.1,
+                             1e300,      -1e-300};
+  Rng rng(2026);
+  for (int i = 0; i < 48; ++i) {
+    const int exponent = static_cast<int>(rng.UniformInt(81)) - 40;
+    inputs.push_back(std::ldexp(rng.Uniform(-1.0, 1.0), exponent));
+  }
+  return inputs;
+}
+
+// Every ordered pair of LaneInputs, unzipped into two lane-aligned columns
+// padded to a whole number of Pack groups, so every input meets every
+// other input in every lane position across the groups.
+std::pair<std::vector<double>, std::vector<double>> LanePairs() {
+  const std::vector<double> inputs = LaneInputs();
+  std::vector<double> a;
+  std::vector<double> b;
+  for (const double x : inputs) {
+    for (const double y : inputs) {
+      a.push_back(x);
+      b.push_back(y);
+    }
+  }
+  while (a.size() % simd::Pack::kLanes != 0) {
+    a.push_back(1.0);
+    b.push_back(-1.0);
+  }
+  return {a, b};
+}
+
+// Applies `op` to each Pack group of (a, b) and, separately, to each
+// element as a Scalar; the two outputs must agree bit for bit.
+template <typename Op>
+void ExpectLanesMatchScalar(const char* name, Op op) {
+  const auto [a, b] = LanePairs();
+  std::vector<double> packed(a.size());
+  for (size_t i = 0; i < a.size(); i += simd::Pack::kLanes) {
+    op(simd::Pack::Load(&a[i]), simd::Pack::Load(&b[i])).Store(&packed[i]);
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    const double scalar = op(simd::Scalar{a[i]}, simd::Scalar{b[i]}).v;
+    ASSERT_EQ(Bits(packed[i]), Bits(scalar))
+        << name << "(" << a[i] << ", " << b[i] << ")";
+  }
+}
+
+// A mask as 1.0/0.0 lanes, via Select.
+template <typename V>
+V MaskLanes(typename V::Mask mask) {
+  return Select(mask, V::Broadcast(1.0), V::Broadcast(0.0));
+}
+
+TEST(SimdLaneTest, ArithmeticMatchesScalarBitForBit) {
+  ExpectLanesMatchScalar("+", [](auto x, auto y) { return x + y; });
+  ExpectLanesMatchScalar("-", [](auto x, auto y) { return x - y; });
+  ExpectLanesMatchScalar("*", [](auto x, auto y) { return x * y; });
+  ExpectLanesMatchScalar("/", [](auto x, auto y) { return x / y; });
+  ExpectLanesMatchScalar("Abs", [](auto x, auto) { return Abs(x); });
+}
+
+TEST(SimdLaneTest, ComparisonsMasksAndSelectMatchScalar) {
+  ExpectLanesMatchScalar("<", [](auto x, auto y) {
+    return MaskLanes<decltype(x)>(x < y);
+  });
+  ExpectLanesMatchScalar(">", [](auto x, auto y) {
+    return MaskLanes<decltype(x)>(x > y);
+  });
+  ExpectLanesMatchScalar(">=", [](auto x, auto y) {
+    return MaskLanes<decltype(x)>(x >= y);
+  });
+  ExpectLanesMatchScalar("|", [](auto x, auto y) {
+    return MaskLanes<decltype(x)>((x < y) | (y < x));
+  });
+  ExpectLanesMatchScalar("Select", [](auto x, auto y) {
+    return Select(x < y, x, y);
+  });
+  ExpectLanesMatchScalar("Select>=", [](auto x, auto y) {
+    return Select(x >= y, y - x, x * y);
+  });
+}
+
+TEST(SimdLaneTest, ScalarOpsAreTheCppOperators) {
+  const auto [a, b] = LanePairs();
+  for (size_t i = 0; i < a.size(); ++i) {
+    const simd::Scalar x{a[i]};
+    const simd::Scalar y{b[i]};
+    EXPECT_EQ((x < y).Any(), a[i] < b[i]);
+    EXPECT_EQ((x > y).Any(), a[i] > b[i]);
+    EXPECT_EQ((x >= y).Any(), a[i] >= b[i]);
+    EXPECT_EQ(Bits(Select(x < y, x, y).v), Bits(a[i] < b[i] ? a[i] : b[i]));
+    EXPECT_EQ(Bits(Abs(x).v), Bits(std::fabs(a[i])));
+  }
+}
+
+TEST(SimdLaneTest, AnyReportsAnyLane) {
+  const auto [a, b] = LanePairs();
+  for (size_t i = 0; i < a.size(); i += simd::Pack::kLanes) {
+    bool any = false;
+    for (size_t k = 0; k < simd::Pack::kLanes; ++k) any |= a[i + k] < b[i + k];
+    EXPECT_EQ((simd::Pack::Load(&a[i]) < simd::Pack::Load(&b[i])).Any(), any)
+        << i;
+  }
+}
+
+// KahanAdd over Pack lanes, over Scalar lanes and through one KahanSum per
+// lane: three routes, one sequence of bits.
+void ExpectKahanRoutesAgree(const std::vector<double>& values) {
+  constexpr size_t kLanes = simd::Pack::kLanes;
+  double pack_sum[kLanes] = {};
+  double pack_comp[kLanes] = {};
+  double scalar_sum[kLanes] = {};
+  double scalar_comp[kLanes] = {};
+  KahanSum sums[kLanes];
+  for (size_t at = 0; at + kLanes <= values.size(); at += kLanes) {
+    simd::KahanAdd(pack_sum, pack_comp, simd::Pack::Load(&values[at]));
+    for (size_t k = 0; k < kLanes; ++k) {
+      simd::KahanAdd(&scalar_sum[k], &scalar_comp[k],
+                     simd::Scalar{values[at + k]});
+      sums[k].Add(values[at + k]);
+    }
+    for (size_t k = 0; k < kLanes; ++k) {
+      ASSERT_EQ(Bits(pack_sum[k]), Bits(scalar_sum[k])) << at << "+" << k;
+      ASSERT_EQ(Bits(pack_comp[k]), Bits(scalar_comp[k])) << at << "+" << k;
+      ASSERT_EQ(Bits(pack_sum[k] + pack_comp[k]), Bits(sums[k].Total()))
+          << at << "+" << k;
+    }
+  }
+}
+
+TEST(SimdLaneTest, KahanAddMatchesKahanSumAcrossLanes) {
+  // Finite terms spanning 2^±40, where compensation does real work.
+  Rng rng(7);
+  std::vector<double> finite;
+  for (int i = 0; i < 4096; ++i) {
+    const int exponent = static_cast<int>(rng.UniformInt(81)) - 40;
+    finite.push_back(std::ldexp(rng.Uniform(-1.0, 1.0), exponent));
+  }
+  ExpectKahanRoutesAgree(finite);
+  // Every corner case as a term, infinities included.
+  ExpectKahanRoutesAgree(LanePairs().first);
+}
+
+// The lane groups ForEachLaneGroup visits for `d` dimensions, as
+// (first dimension, lanes) pairs.
+std::vector<std::pair<size_t, size_t>> LaneGroups(size_t d) {
+  std::vector<std::pair<size_t, size_t>> groups;
+  simd::ForEachLaneGroup(d, [&]<typename V>(size_t i) {
+    groups.emplace_back(i, V::kLanes);
+    return false;
+  });
+  return groups;
+}
+
+TEST(SimdLaneTest, ForEachLaneGroupCoversEveryDimensionOnce) {
+  constexpr size_t kLanes = simd::Pack::kLanes;
+  for (size_t d = 0; d <= 11; ++d) {
+    std::vector<std::pair<size_t, size_t>> expected;
+    size_t i = 0;
+    for (; i + kLanes <= d; i += kLanes) expected.emplace_back(i, kLanes);
+    for (; i < d; ++i) expected.emplace_back(i, 1);
+    EXPECT_EQ(LaneGroups(d), expected) << "d=" << d;
+
+    std::vector<std::pair<size_t, size_t>> scalar;
+    for (size_t k = 0; k < d; ++k) scalar.emplace_back(k, 1);
+    simd::SetForceScalar(true);
+    const auto forced = LaneGroups(d);
+    simd::SetForceScalar(false);
+    EXPECT_EQ(forced, scalar) << "d=" << d << " forced scalar";
+  }
+}
+
+TEST(SimdLaneTest, ForEachLaneGroupStopsWhenTheBodyReturnsTrue) {
+  size_t visited = 0;
+  const bool stopped = simd::ForEachLaneGroup(9, [&]<typename V>(size_t i) {
+    ++visited;
+    return i + V::kLanes > 4;  // the group holding dimension 4
+  });
+  EXPECT_TRUE(stopped);
+  EXPECT_EQ(visited, 4 / simd::Pack::kLanes + 1);
+  EXPECT_FALSE(simd::ForEachLaneGroup(
+      9, []<typename V>(size_t) { return false; }));
 }
 
 // ---------------------------------------------------------------------------

@@ -128,9 +128,10 @@ std::vector<PipelineVariant> VariantsFor(uint64_t seed) {
   variants.push_back({"shards1-frame-memory", 1, false, "frame", false, false});
   variants.push_back(
       {"shards3-delta-threaded", 3, true, "delta(varint=true)", false, false});
-  // Ingest-mode legs: the SIMD batch and columnar paths must match the
+  // Ingest-mode legs: the batch and columnar paths must match the
   // point-mode reference byte-for-byte on every scenario; the forced-
-  // scalar leg proves the vector kernels match their scalar fallback.
+  // scalar leg proves the Pack instantiation of each lane kernel matches
+  // its 1-lane instantiation.
   {
     PipelineVariant batch{"shards1-frame-batch", 1, false, "frame",
                           false,                 false};
@@ -226,8 +227,8 @@ Result<RunOutput> RunScenario(const Scenario& scenario,
   PLASTREAM_ASSIGN_OR_RETURN(std::unique_ptr<Pipeline> pipeline,
                              builder.Build());
 
-  // The forced-scalar leg flips the process-wide kernel switch for the
-  // duration of this run only.
+  // The forced-scalar leg runs every kernel at one lane for the duration
+  // of this run only (a process-wide switch).
   const ScopedForceScalar scalar_guard(variant.force_scalar);
 
   if (variant.ingest == IngestMode::kPoint) {

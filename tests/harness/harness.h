@@ -55,10 +55,10 @@ struct PipelineVariant {
   // paths, and the run must STILL be byte-identical to the fault-free
   // reference variant.
   std::string fault_plan;
-  // Routes the families' AppendBatch overrides back through the scalar
-  // per-point path (simd::SetForceScalar) for the duration of the run, so
-  // the matrix proves the SIMD kernels byte-identical to the scalar path
-  // on every scenario it covers.
+  // Runs the families' lane kernels at one lane (simd::SetForceScalar)
+  // for the duration of the run, so the matrix proves the Pack and 1-lane
+  // instantiations of each kernel byte-identical on every scenario it
+  // covers.
   bool force_scalar = false;
 };
 
