@@ -34,7 +34,10 @@
 //    layer keeps a growing per-segment copy;
 //  - the same pipeline onto a file(codec=delta) archive allocates at most
 //    64 times over its measured 10^6-point pass — the in-memory store's
-//    geometric growth, nothing per archived segment.
+//    geometric growth, nothing per archived segment;
+//  - a SegmentStore warmed with 10^5 segments allocates at most 64 times
+//    while it appends 3x10^5 more, at d=1 and at d=9 (past DimVec's
+//    inline capacity) — its columns' growth, nothing per stored segment.
 
 #include <unistd.h>
 
@@ -55,6 +58,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/filter_registry.h"
+#include "core/segment_store.h"
 #include "datagen/correlated_walk.h"
 #include "stream/pipeline.h"
 #include "stream/sharded_filter_bank.h"
@@ -384,9 +388,9 @@ struct PipelineResult {
   uint64_t allocations = 0;
 };
 
-// Allocations the file-archive probe may make over its measured pass:
-// room for the SegmentStore's geometric growth (a few doublings of one
-// vector), and nothing per segment.
+// Allocations the file-archive and store probes may make over their
+// measured passes: room for the SegmentStore's geometric growth (a few
+// doublings of each of its columns), and nothing per segment.
 constexpr uint64_t kArchiveAllocBudget = 64;
 
 // Bounded-memory probe: Pipeline::Append through a whole inproc pipeline
@@ -428,6 +432,50 @@ PipelineResult MeasurePipeline(const Config& config,
       g_allocations.load(std::memory_order_relaxed) - allocs_before;
   CheckOk(pipeline->Finish(), "pipeline finish");
   result.points_per_sec = static_cast<double>(result.points) / elapsed.count();
+  return result;
+}
+
+struct StoreResult {
+  size_t dims = 0;
+  size_t segments = 0;  // measured appends
+  uint64_t allocations = 0;
+};
+
+// Store probe: SegmentStore::Append alone, warmed with 10^5 segments, then
+// 3x10^5 more counted. A quarter are disconnected, so the start columns
+// grow too. Only column growth may allocate; a store that kept whole
+// Segments would allocate twice per segment at d=9, copying their
+// spilled DimVecs.
+StoreResult MeasureStore(size_t dims) {
+  constexpr size_t kWarm = 100000;
+  StoreResult result;
+  result.dims = dims;
+  result.segments = 3 * kWarm;
+  SegmentStore store(dims);
+  Rng rng(91);
+  Segment segment;  // reused, so its own DimVecs allocate only here
+  segment.x_start.resize(dims);
+  segment.x_end.resize(dims);
+  const auto append = [&](size_t n) {
+    for (size_t j = 0; j < n; ++j) {
+      segment.connected_to_prev = !store.empty() && rng.Bernoulli(0.75);
+      if (segment.connected_to_prev) {
+        segment.t_start = segment.t_end;
+        segment.x_start = segment.x_end;
+      } else {
+        segment.t_start = segment.t_end + 1.0;
+        for (double& v : segment.x_start) v = rng.Uniform(-1.0, 1.0);
+      }
+      segment.t_end = segment.t_start + 1.0;
+      for (double& v : segment.x_end) v = rng.Uniform(-1.0, 1.0);
+      CheckOk(store.Append(segment), "store append");
+    }
+  };
+  append(kWarm);
+  const uint64_t allocs_before = g_allocations.load(std::memory_order_relaxed);
+  append(result.segments);
+  result.allocations =
+      g_allocations.load(std::memory_order_relaxed) - allocs_before;
   return result;
 }
 
@@ -663,6 +711,23 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(archive.allocations),
               archive_note);
 
+  std::printf("\nSegmentStore, warmed with 10^5 segments, 3x10^5 appended:\n");
+  std::vector<StoreResult> store_results;
+  bool store_ok = true;
+  for (const size_t dims : {size_t{1}, size_t{9}}) {
+    const StoreResult r = MeasureStore(dims);
+    store_results.push_back(r);
+    const bool row_ok = !config.gates || r.allocations <= kArchiveAllocBudget;
+    store_ok = store_ok && row_ok;
+    std::printf("  d=%zu: %llu allocs", r.dims,
+                static_cast<unsigned long long>(r.allocations));
+    if (!row_ok) {
+      std::printf("  <- GATE: expected <= %llu allocs",
+                  static_cast<unsigned long long>(kArchiveAllocBudget));
+    }
+    std::printf("\n");
+  }
+
   std::printf("\nSharded ingest, locked mode, %zu keys, batch=256:\n",
               config.keys);
   const ShardedResult sharded = MeasureSharded(config);
@@ -755,8 +820,19 @@ int Main(int argc, char** argv) {
                  archive.points, archive.points_per_sec,
                  static_cast<unsigned long long>(archive.allocations),
                  static_cast<unsigned long long>(kArchiveAllocBudget));
+    std::fprintf(out, "  \"store\": [\n");
+    for (size_t i = 0; i < store_results.size(); ++i) {
+      const StoreResult& r = store_results[i];
+      std::fprintf(out,
+                   "    {\"dims\": %zu, \"segments\": %zu, "
+                   "\"allocations\": %llu, \"gate_max_allocations\": %llu}%s\n",
+                   r.dims, r.segments,
+                   static_cast<unsigned long long>(r.allocations),
+                   static_cast<unsigned long long>(kArchiveAllocBudget),
+                   i + 1 < store_results.size() ? "," : "");
+    }
     std::fprintf(out,
-                 "  \"sharded\": {\"keys\": %zu, \"batch\": 256, "
+                 "  ],\n  \"sharded\": {\"keys\": %zu, \"batch\": 256, "
                  "\"single_points_per_sec\": %.0f, "
                  "\"batched_points_per_sec\": %.0f, \"speedup\": %.3f, "
                  "\"identical\": %s},\n"
@@ -769,7 +845,7 @@ int Main(int argc, char** argv) {
                  "\"identical\": %s, \"guard_pass_alloc\": %s, "
                  "\"guard_pass_overhead\": %s, \"simd_speedup\": %s, "
                  "\"encode_zero_alloc\": %s, \"pipeline_zero_alloc\": %s, "
-                 "\"archive_alloc\": %s}\n}\n",
+                 "\"archive_alloc\": %s, \"store_alloc\": %s}\n}\n",
                  config.keys, sharded.single_pps, sharded.batched_pps,
                  sharded.speedup, sharded.identical ? "true" : "false",
                  guard.none_pps, guard.pass_pps, pass_ratio,
@@ -784,7 +860,7 @@ int Main(int argc, char** argv) {
                  guard_overhead_ok ? "true" : "false",
                  simd_ok ? "true" : "false", encode_ok ? "true" : "false",
                  pipeline_ok ? "true" : "false",
-                 archive_ok ? "true" : "false");
+                 archive_ok ? "true" : "false", store_ok ? "true" : "false");
     std::fclose(out);
     std::printf("\nwrote %s\n", config.json_path.c_str());
   }
@@ -845,9 +921,21 @@ int Main(int argc, char** argv) {
                  archive.points,
                  static_cast<unsigned long long>(kArchiveAllocBudget));
   }
+  if (!store_ok) {
+    for (const StoreResult& r : store_results) {
+      if (r.allocations <= kArchiveAllocBudget) continue;
+      std::fprintf(stderr,
+                   "\nGATE FAILED: a SegmentStore allocated %llu times "
+                   "appending %zu segments at d=%zu (budget %llu); storing "
+                   "a segment must not allocate\n",
+                   static_cast<unsigned long long>(r.allocations),
+                   r.segments, r.dims,
+                   static_cast<unsigned long long>(kArchiveAllocBudget));
+    }
+  }
   return (zero_alloc_ok && throughput_ok && identical_ok && guard_alloc_ok &&
           guard_overhead_ok && simd_ok && encode_ok && pipeline_ok &&
-          archive_ok)
+          archive_ok && store_ok)
              ? 0
              : 1;
 }

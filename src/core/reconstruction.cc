@@ -19,8 +19,9 @@ std::optional<size_t> PiecewiseLinearFunction::FindSegment(double t) const {
   const auto it = std::lower_bound(
       segments_.begin(), segments_.end(), t,
       [](const Segment& seg, double time) { return seg.t_end < time; });
-  if (it == segments_.end()) return std::nullopt;
-  if (it->t_start > t) return std::nullopt;
+  // Tested as t_start <= t, so a NaN t (lower_bound sends it to segment 0)
+  // is not covered.
+  if (it == segments_.end() || !(it->t_start <= t)) return std::nullopt;
   return static_cast<size_t>(it - segments_.begin());
 }
 

@@ -12,11 +12,25 @@
 //   min / max            -> true extremum within ±ε of the reported one
 //   threshold crossings  -> exact for the approximation; true crossings of
 //                           levels beyond ±ε cannot be missed
+//
+// Layout: columns of recordings, so a connected segment costs one
+// recording in memory as it does on the wire (paper, Section 2.1). Every
+// segment keeps its end time and its d end values (point-major). Only a
+// disconnected segment keeps a start recording, in side columns; a bitmap
+// with a rank per 64-segment block finds it in O(1). A connected
+// segment's start is its predecessor's end. At d = 1 that is 16 B per
+// connected and 32 B per disconnected segment, plus a quarter byte for
+// the bitmap and ranks, against 200 B for a `Segment`. `segments()` is a
+// view that builds `Segment` values from the columns on access.
 
 #ifndef PLASTREAM_CORE_SEGMENT_STORE_H_
 #define PLASTREAM_CORE_SEGMENT_STORE_H_
 
+#include <compare>
 #include <cstddef>
+#include <cstdint>
+#include <iterator>
+#include <ranges>
 #include <span>
 #include <utility>
 #include <vector>
@@ -30,34 +44,125 @@ namespace plastream {
 /// Not thread-safe; one instance per stream.
 class SegmentStore {
  public:
+  /// Read-only random-access view of the stored chain, in time order. An
+  /// element is a `Segment` built from the columns on access (a value, not
+  /// a reference). Iterators are (store, index) pairs, so iterators taken
+  /// from two `segments()` calls on one store delimit one range, and an
+  /// Append does not invalidate them. Like `std::views::iota`, iterators
+  /// are random access in concept and input in `iterator_category`.
+  class SegmentView : public std::ranges::view_interface<SegmentView> {
+   public:
+    /// (store, index) iterator yielding `Segment` values.
+    class Iterator {
+     public:
+      /// Random access, for C++20 algorithms and ranges.
+      using iterator_concept = std::random_access_iterator_tag;
+      /// Input, since dereferencing yields a value, not a reference.
+      using iterator_category = std::input_iterator_tag;
+      /// Element type.
+      using value_type = Segment;
+      /// Distance between two positions.
+      using difference_type = std::ptrdiff_t;
+      /// None: elements are built on access and have no address.
+      using pointer = void;
+      /// What dereferencing yields: a built `Segment`.
+      using reference = Segment;
+
+      /// A singular iterator; only assignable.
+      Iterator() = default;
+      /// Position `index` of `store`.
+      Iterator(const SegmentStore* store, size_t index)
+          : store_(store), index_(index) {}
+
+      /// The segment at this position.
+      Segment operator*() const { return store_->SegmentAt(index_); }
+      /// The segment `n` positions on.
+      Segment operator[](difference_type n) const { return *(*this + n); }
+
+      /// Steps forward.
+      Iterator& operator++() { return *this += 1; }
+      /// Steps forward, returning the old position.
+      Iterator operator++(int) { return Iterator(store_, index_++); }
+      /// Steps back.
+      Iterator& operator--() { return *this -= 1; }
+      /// Steps back, returning the old position.
+      Iterator operator--(int) { return Iterator(store_, index_--); }
+      /// Moves `n` positions on.
+      Iterator& operator+=(difference_type n) {
+        index_ += static_cast<size_t>(n);
+        return *this;
+      }
+      /// Moves `n` positions back.
+      Iterator& operator-=(difference_type n) { return *this += -n; }
+      /// `it` moved `n` positions on.
+      friend Iterator operator+(Iterator it, difference_type n) {
+        return it += n;
+      }
+      /// `it` moved `n` positions on.
+      friend Iterator operator+(difference_type n, Iterator it) {
+        return it += n;
+      }
+      /// `it` moved `n` positions back.
+      friend Iterator operator-(Iterator it, difference_type n) {
+        return it -= n;
+      }
+      /// Positions from `b` to `a`.
+      friend difference_type operator-(const Iterator& a, const Iterator& b) {
+        return static_cast<difference_type>(a.index_ - b.index_);
+      }
+      /// Same store and position.
+      friend bool operator==(const Iterator&, const Iterator&) = default;
+      /// Orders positions within one store.
+      friend auto operator<=>(const Iterator&, const Iterator&) = default;
+
+     private:
+      const SegmentStore* store_ = nullptr;
+      size_t index_ = 0;
+    };
+
+    /// A view of `store`'s chain.
+    explicit SegmentView(const SegmentStore* store) : store_(store) {}
+
+    /// The first segment's position.
+    Iterator begin() const { return Iterator(store_, 0); }
+    /// One past the last segment's position, as of this call.
+    Iterator end() const { return Iterator(store_, store_->segment_count()); }
+
+   private:
+    const SegmentStore* store_;
+  };
+
   /// Creates an empty store for d-dimensional segments.
   explicit SegmentStore(size_t dimensions);
 
   /// Appends the next segment of the chain. Enforces the same invariants
   /// as ValidateSegmentChain incrementally (monotone times, matching
-  /// dimensionality, consistent junctions).
+  /// dimensionality, consistent junctions). A connected segment's start
+  /// is not stored: it reads back as the previous end, which it equals.
   Status Append(const Segment& segment);
 
   /// Appends a whole batch in order.
   Status AppendAll(std::span<const Segment> segments);
 
   /// Number of stored segments.
-  size_t segment_count() const { return segments_.size(); }
+  size_t segment_count() const { return t_end_.size(); }
 
   /// Dimensionality d.
   size_t dimensions() const { return dimensions_; }
 
   /// True when no segments are stored.
-  bool empty() const { return segments_.empty(); }
+  bool empty() const { return t_end_.empty(); }
 
-  /// Earliest / latest covered time. Requires a non-empty store.
-  double t_min() const { return segments_.front().t_start; }
-  double t_max() const { return segments_.back().t_end; }
+  /// Earliest / latest covered time. Requires a non-empty store. The
+  /// first segment is never connected, so it keeps its own start.
+  double t_min() const { return starts_.front(); }
+  double t_max() const { return t_end_.back(); }
 
-  /// The stored segments, in time order.
-  std::span<const Segment> segments() const { return segments_; }
+  /// The stored segments, in time order (see SegmentView).
+  SegmentView segments() const { return SegmentView(this); }
 
-  /// Value of dimension `dim` at time t; NotFound in coverage gaps.
+  /// Value of dimension `dim` at time t; NotFound in coverage gaps and
+  /// for a NaN t.
   Result<double> ValueAt(double t, size_t dim) const;
 
   /// Aggregates of the stored approximation over [t_begin, t_end].
@@ -90,11 +195,37 @@ class SegmentStore {
                                                         size_t dim) const;
 
  private:
+  // One recording: a time and its d values, pointing into a column.
+  struct Recording {
+    double t = 0.0;
+    const double* x = nullptr;
+  };
+
+  // 64 segments' "keeps its own start" bits, and how many segments before
+  // the block keep one: the rank that indexes the side columns.
+  struct Block {
+    uint64_t disconnected = 0;
+    uint64_t rank = 0;
+  };
+
+  // True when segment k is disconnected and so keeps its own start.
+  bool KeepsStart(size_t k) const;
+
+  // Segment k's start and end recordings.
+  Recording Start(size_t k) const;
+  Recording End(size_t k) const;
+
+  // Segment k, built from the columns.
+  Segment SegmentAt(size_t k) const;
+
   // Index of the first segment with t_end >= t.
   size_t LowerBound(double t) const;
 
   size_t dimensions_;
-  std::vector<Segment> segments_;
+  std::vector<double> t_end_;   // per segment
+  std::vector<double> x_end_;   // per segment, d values
+  std::vector<Block> blocks_;   // per 64 segments
+  std::vector<double> starts_;  // per disconnected segment: t, then d values
 };
 
 }  // namespace plastream

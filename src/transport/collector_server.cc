@@ -706,8 +706,7 @@ Result<std::vector<Segment>> CollectorServer::Segments(
                                       options_.storage_spec +
                                       "' retains no segments");
   }
-  const std::span<const Segment> segments =
-      it->second->storage->store()->segments();
+  const auto segments = it->second->storage->store()->segments();
   return std::vector<Segment>(segments.begin(), segments.end());
 }
 

@@ -2,6 +2,7 @@
 //
 // Unit tests for the receiver-side piece-wise linear reconstruction.
 
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,6 +53,19 @@ TEST(ReconstructionTest, GapIsNotCovered) {
   EXPECT_EQ(fn->Evaluate(15, 0).status().code(), StatusCode::kNotFound);
   EXPECT_FALSE(fn->Covers(-1.0));
   EXPECT_FALSE(fn->Covers(31.0));
+}
+
+TEST(ReconstructionTest, NanTimeIsNotCovered) {
+  const auto fn = PiecewiseLinearFunction::Make(
+      {MakeSegment(0, 10, 0, 10), MakeSegment(20, 30, 100, 200)});
+  ASSERT_TRUE(fn.ok());
+  const double nan = std::nan("");
+  EXPECT_FALSE(fn->FindSegment(nan).has_value());
+  EXPECT_FALSE(fn->Covers(nan));
+  const Result<double> value = fn->Evaluate(nan, 0);
+  EXPECT_EQ(value.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(value.status().message(), "no segment covers t=nan");
+  EXPECT_EQ(fn->EvaluateAll(nan).status().code(), StatusCode::kNotFound);
 }
 
 TEST(ReconstructionTest, JunctionResolvesToEarlierSegmentWithSameValue) {
