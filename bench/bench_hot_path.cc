@@ -22,6 +22,9 @@
 //    single-point throughput;
 //  - per-key segments from batched ingest are byte-identical to the
 //    single-point run;
+//  - a pass-through ingest policy allocates exactly as much as no policy
+//    and keeps >= 0.95x its throughput, as the median of 9 interleaved
+//    pairs' ratios;
 //  - the lane kernels at full Pack width reach >= 1.4x their 1-lane
 //    (forced-scalar) instantiation for swing at d=4, batch=256, and
 //    >= 0.95x (no-regression tripwire) for slide, whose per-point cost is
@@ -32,6 +35,10 @@
 //  - a whole inproc Pipeline with storage=none (swing, frame codec, one
 //    shard) allocates zero times over a measured 10^6-point pass, so no
 //    layer keeps a growing per-segment copy;
+//  - the same pipeline fed round-robin over 2048 keys, one point per call
+//    (bench_e2e's fleet_point shape), allocates zero times over a
+//    measured 10^6-point pass: routing a point through the bank's index
+//    allocates nothing;
 //  - the same pipeline onto a file(codec=delta) archive allocates at most
 //    64 times over its measured 10^6-point pass — the in-memory store's
 //    geometric growth, nothing per archived segment;
@@ -395,13 +402,16 @@ constexpr uint64_t kArchiveAllocBudget = 64;
 
 // Bounded-memory probe: Pipeline::Append through a whole inproc pipeline
 // — bank, swing filter, transmitter, frame codec and channel recycling,
-// then `storage`. A warm pass sizes every buffer; the measured
+// then `storage` — round-robin over `keys` streams, one point per call.
+// A warm pass creates every stream and sizes every buffer; the measured
 // 10^6-point pass is then counted. With storage=none nothing may
 // allocate at all, so any layer that keeps a per-segment copy (a growing
 // vector reallocates) fails the gate; with a file archive only the
-// in-memory store's growth may.
+// in-memory store's growth may. At 2048 keys the probe takes bench_e2e's
+// fleet_point shape: every call probes the bank's index across a working
+// set of 2048 streams.
 PipelineResult MeasurePipeline(const Config& config,
-                               const std::string& storage) {
+                               const std::string& storage, size_t keys = 1) {
   auto pipeline = ValueOrDie(Pipeline::Builder()
                                  .DefaultSpec("swing(eps=0.5)")
                                  .Codec("frame")
@@ -409,17 +419,23 @@ PipelineResult MeasurePipeline(const Config& config,
                                  .Shards(1)
                                  .Build(),
                              "Pipeline::Build");
+  std::vector<std::string> names;
+  for (size_t i = 0; i < keys; ++i) {
+    names.push_back("fleet.host" + std::to_string(i) + ".cpu");
+  }
   Rng rng(77);
-  double t = 0.0;
-  double x = 0.0;
+  std::vector<double> x(keys, 0.0);
+  size_t step = 0;  // round-robin position; step / keys is the time
   const auto append = [&](size_t n, const char* what) {
-    for (size_t j = 0; j < n; ++j) {
-      x += rng.Uniform(-1.0, 1.0);
-      CheckOk(pipeline->Append("fleet.host0.cpu", t, x), what);
-      t += 1.0;
+    for (size_t j = 0; j < n; ++j, ++step) {
+      const size_t k = step % keys;
+      x[k] += rng.Uniform(-1.0, 1.0);
+      CheckOk(pipeline->Append(names[k], static_cast<double>(step / keys),
+                               x[k]),
+              what);
     }
   };
-  append(config.points, "pipeline warm-up");
+  append(std::max(config.points, 64 * keys), "pipeline warm-up");
 
   PipelineResult result;
   result.points = 1000000;
@@ -482,17 +498,31 @@ StoreResult MeasureStore(size_t dims) {
 struct GuardResult {
   double none_pps = 0.0;     // no ingest policy configured at all
   double pass_pps = 0.0;     // explicit "pass" policy (no guard object)
+  double pass_ratio = 0.0;   // median of the per-pair pass/none ratios
   double guarded_pps = 0.0;  // guard(reorder=32,...): informational
   uint64_t none_allocs = 0;
   uint64_t pass_allocs = 0;
   uint64_t guarded_allocs = 0;
 };
 
+// Interleaved none/pass pairs the ingest-guard gate takes its median over.
+constexpr size_t kGuardPairs = 9;
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
+}
+
 // Ingest-guard overhead probe: a pass-through policy must be free — the
 // bank attaches no guard object, so the only delta is one null check per
-// append. Gated: equal steady-state allocation count and >= 0.95x the
-// unguarded throughput. A real reorder window rides along informationally.
-GuardResult MeasureGuard(const Config& config) {
+// append. The two sides run identical code, so single readings differ by
+// machine noise alone: the probe runs kGuardPairs back-to-back none/pass
+// pairs, alternating which side goes first, and gates on the median of
+// the per-pair pass/none ratios (>= 0.95x), plus an equal steady-state
+// allocation count. A real reorder window rides along informationally.
+GuardResult MeasureGuard() {
   const size_t points_per_key = 4096;
   const size_t n_keys = 16;
   std::vector<std::string> keys;
@@ -506,58 +536,66 @@ GuardResult MeasureGuard(const Config& config) {
   };
   const double total_points = static_cast<double>(n_keys * points_per_key);
 
-  GuardResult result;
-  for (size_t rep = 0; rep < config.reps; ++rep) {
-    for (const int mode : {0, 1, 2}) {
-      ShardedFilterBank::Options options;
-      options.shards = 4;
-      if (mode == 1) {
-        options.ingest = ValueOrDie(IngestPolicy::Parse("pass"), "pass");
-      } else if (mode == 2) {
-        options.ingest = ValueOrDie(
-            IngestPolicy::Parse("guard(reorder=32,nan=skip,dup=first)"),
-            "guard");
-      }
-      auto bank = ValueOrDie(ShardedFilterBank::Create(factory, options),
-                             "ShardedFilterBank::Create");
-      // Warm the banks: first pass sizes filters, maps and buffers.
-      for (size_t i = 0; i < n_keys; ++i) {
-        for (size_t j = 0; j < points_per_key; ++j) {
-          CheckOk(bank->Append(keys[i], data[i][j]), "guard warm-up");
-        }
-      }
-      const double shift = data[0].back().t - data[0].front().t + 1.0;
-      const uint64_t allocs_before =
-          g_allocations.load(std::memory_order_relaxed);
-      const auto start = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < n_keys; ++i) {
-        for (size_t j = 0; j < points_per_key; ++j) {
-          DataPoint p = data[i][j];
-          p.t += shift;
-          CheckOk(bank->Append(keys[i], p), "guard measured append");
-        }
-      }
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      const uint64_t allocs =
-          g_allocations.load(std::memory_order_relaxed) - allocs_before;
-      CheckOk(bank->FinishAll(), "guard FinishAll");
-      const double pps = total_points / elapsed.count();
-      if (mode == 0) {
-        result.none_pps = std::max(result.none_pps, pps);
-        result.none_allocs = rep == 0 ? allocs
-                                      : std::min(result.none_allocs, allocs);
-      } else if (mode == 1) {
-        result.pass_pps = std::max(result.pass_pps, pps);
-        result.pass_allocs = rep == 0 ? allocs
-                                      : std::min(result.pass_allocs, allocs);
-      } else {
-        result.guarded_pps = std::max(result.guarded_pps, pps);
-        result.guarded_allocs =
-            rep == 0 ? allocs : std::min(result.guarded_allocs, allocs);
+  // Points/sec of one measured pass through a warm bank under `policy`
+  // (nullptr: no policy configured); its allocations go to `allocs`.
+  const auto measure = [&](const char* policy, uint64_t* allocs) {
+    ShardedFilterBank::Options options;
+    options.shards = 4;
+    if (policy != nullptr) {
+      options.ingest = ValueOrDie(IngestPolicy::Parse(policy), policy);
+    }
+    auto bank = ValueOrDie(ShardedFilterBank::Create(factory, options),
+                           "ShardedFilterBank::Create");
+    // Warm the bank: the first pass sizes filters, the index and buffers.
+    for (size_t i = 0; i < n_keys; ++i) {
+      for (size_t j = 0; j < points_per_key; ++j) {
+        CheckOk(bank->Append(keys[i], data[i][j]), "guard warm-up");
       }
     }
+    const double shift = data[0].back().t - data[0].front().t + 1.0;
+    const uint64_t allocs_before =
+        g_allocations.load(std::memory_order_relaxed);
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < n_keys; ++i) {
+      for (size_t j = 0; j < points_per_key; ++j) {
+        DataPoint p = data[i][j];
+        p.t += shift;
+        CheckOk(bank->Append(keys[i], p), "guard measured append");
+      }
+    }
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    *allocs = g_allocations.load(std::memory_order_relaxed) - allocs_before;
+    CheckOk(bank->FinishAll(), "guard FinishAll");
+    return total_points / elapsed.count();
+  };
+
+  std::vector<double> none, pass, guarded, ratios;
+  GuardResult result;
+  result.none_allocs = result.pass_allocs = result.guarded_allocs =
+      UINT64_MAX;
+  for (size_t pair = 0; pair < kGuardPairs; ++pair) {
+    uint64_t none_allocs = 0;
+    uint64_t pass_allocs = 0;
+    uint64_t guarded_allocs = 0;
+    if (pair % 2 == 0) {
+      none.push_back(measure(nullptr, &none_allocs));
+      pass.push_back(measure("pass", &pass_allocs));
+    } else {
+      pass.push_back(measure("pass", &pass_allocs));
+      none.push_back(measure(nullptr, &none_allocs));
+    }
+    ratios.push_back(pass.back() / none.back());
+    guarded.push_back(
+        measure("guard(reorder=32,nan=skip,dup=first)", &guarded_allocs));
+    result.none_allocs = std::min(result.none_allocs, none_allocs);
+    result.pass_allocs = std::min(result.pass_allocs, pass_allocs);
+    result.guarded_allocs = std::min(result.guarded_allocs, guarded_allocs);
   }
+  result.none_pps = Median(none);
+  result.pass_pps = Median(pass);
+  result.pass_ratio = Median(ratios);
+  result.guarded_pps = Median(guarded);
   return result;
 }
 
@@ -690,6 +728,16 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(pipe.allocations),
               pipeline_ok ? "" : "  <- GATE: expected 0 allocs");
 
+  std::printf(
+      "\nPipeline, swing/frame/storage=none, 2048 keys round-robin, one "
+      "point per call:\n");
+  const PipelineResult fleet = MeasurePipeline(config, "none", 2048);
+  const bool fleet_ok = !config.gates || fleet.allocations == 0;
+  std::printf("  %zu points: %14.0f points/sec  %llu allocs%s\n",
+              fleet.points, fleet.points_per_sec,
+              static_cast<unsigned long long>(fleet.allocations),
+              fleet_ok ? "" : "  <- GATE: expected 0 allocs");
+
   std::printf("\nPipeline, swing/frame/file(codec=delta), inproc, 1 shard:\n");
   const std::string archive_path =
       (std::filesystem::temp_directory_path() /
@@ -740,10 +788,12 @@ int Main(int argc, char** argv) {
   const bool throughput_ok = !config.gates || sharded.speedup >= 1.3;
   const bool identical_ok = !config.gates || sharded.identical;
 
-  std::printf("\nIngest-guard overhead, 16 keys, 4 shards:\n");
-  const GuardResult guard = MeasureGuard(config);
-  const double pass_ratio =
-      guard.none_pps > 0.0 ? guard.pass_pps / guard.none_pps : 0.0;
+  std::printf(
+      "\nIngest-guard overhead, 16 keys, 4 shards, median of %zu "
+      "interleaved pairs:\n",
+      kGuardPairs);
+  const GuardResult guard = MeasureGuard();
+  const double pass_ratio = guard.pass_ratio;
   std::printf("  no policy:    %14.0f points/sec  %llu allocs\n",
               guard.none_pps,
               static_cast<unsigned long long>(guard.none_allocs));
@@ -812,11 +862,15 @@ int Main(int argc, char** argv) {
     std::fprintf(out,
                  "  ],\n  \"pipeline_none\": {\"points\": %zu, "
                  "\"points_per_sec\": %.0f, \"allocations\": %llu},\n"
+                 "  \"pipeline_fleet\": {\"keys\": 2048, \"points\": %zu, "
+                 "\"points_per_sec\": %.0f, \"allocations\": %llu},\n"
                  "  \"pipeline_file\": {\"points\": %zu, "
                  "\"points_per_sec\": %.0f, \"allocations\": %llu, "
                  "\"gate_max_allocations\": %llu},\n",
                  pipe.points, pipe.points_per_sec,
                  static_cast<unsigned long long>(pipe.allocations),
+                 fleet.points, fleet.points_per_sec,
+                 static_cast<unsigned long long>(fleet.allocations),
                  archive.points, archive.points_per_sec,
                  static_cast<unsigned long long>(archive.allocations),
                  static_cast<unsigned long long>(kArchiveAllocBudget));
@@ -845,6 +899,7 @@ int Main(int argc, char** argv) {
                  "\"identical\": %s, \"guard_pass_alloc\": %s, "
                  "\"guard_pass_overhead\": %s, \"simd_speedup\": %s, "
                  "\"encode_zero_alloc\": %s, \"pipeline_zero_alloc\": %s, "
+                 "\"pipeline_fleet_zero_alloc\": %s, "
                  "\"archive_alloc\": %s, \"store_alloc\": %s}\n}\n",
                  config.keys, sharded.single_pps, sharded.batched_pps,
                  sharded.speedup, sharded.identical ? "true" : "false",
@@ -859,7 +914,7 @@ int Main(int argc, char** argv) {
                  guard_alloc_ok ? "true" : "false",
                  guard_overhead_ok ? "true" : "false",
                  simd_ok ? "true" : "false", encode_ok ? "true" : "false",
-                 pipeline_ok ? "true" : "false",
+                 pipeline_ok ? "true" : "false", fleet_ok ? "true" : "false",
                  archive_ok ? "true" : "false", store_ok ? "true" : "false");
     std::fclose(out);
     std::printf("\nwrote %s\n", config.json_path.c_str());
@@ -891,8 +946,8 @@ int Main(int argc, char** argv) {
   if (!guard_overhead_ok) {
     std::fprintf(stderr,
                  "\nGATE FAILED: pass-through ingest throughput %.3fx of "
-                 "unguarded (< 0.95x)\n",
-                 pass_ratio);
+                 "unguarded (median of %zu interleaved pairs, < 0.95x)\n",
+                 pass_ratio, kGuardPairs);
   }
   if (!simd_ok) {
     std::fprintf(stderr,
@@ -911,6 +966,14 @@ int Main(int argc, char** argv) {
                  "over %zu points; its memory must stay flat\n",
                  static_cast<unsigned long long>(pipe.allocations),
                  pipe.points);
+  }
+  if (!fleet_ok) {
+    std::fprintf(stderr,
+                 "\nGATE FAILED: a storage=none pipeline over 2048 keys "
+                 "allocated %llu times over %zu points; routing a point must "
+                 "not allocate\n",
+                 static_cast<unsigned long long>(fleet.allocations),
+                 fleet.points);
   }
   if (!archive_ok) {
     std::fprintf(stderr,
@@ -935,7 +998,7 @@ int Main(int argc, char** argv) {
   }
   return (zero_alloc_ok && throughput_ok && identical_ok && guard_alloc_ok &&
           guard_overhead_ok && simd_ok && encode_ok && pipeline_ok &&
-          archive_ok && store_ok)
+          fleet_ok && archive_ok && store_ok)
              ? 0
              : 1;
 }

@@ -349,6 +349,7 @@ Status Pipeline::AppendBatch(std::string_view key, std::span<const double> ts,
 
 void Pipeline::Stream::OnSegment(const Segment& segment) {
   transmitter->OnSegment(segment);
+  if (link == nullptr) RecycleFrames();
   if (storage != nullptr && archive_status.ok()) {
     archive_status = storage->Append(segment);
   }
@@ -356,17 +357,24 @@ void Pipeline::Stream::OnSegment(const Segment& segment) {
 
 void Pipeline::Stream::OnProvisionalLine(const ProvisionalLine& line) {
   transmitter->OnProvisionalLine(line);
+  if (link == nullptr) RecycleFrames();
+}
+
+void Pipeline::Stream::RecycleFrames() {
+  while (std::optional<std::vector<uint8_t>> frame = channel.Pop()) {
+    channel.Recycle(std::move(*frame));
+  }
 }
 
 Status Pipeline::Stream::Drain() {
   // Runs after every append: test the sticky errors without copying them.
   if (!transmitter->status().ok()) return transmitter->status();
   if (!archive_status.ok()) return archive_status;
+  if (link == nullptr) return Status::OK();
+  // The frame goes out over the transport, which may block on backpressure
+  // and reconnect under the hood.
   while (std::optional<std::vector<uint8_t>> frame = channel.Pop()) {
-    // Remote: the frame goes out over the transport, which may block on
-    // backpressure and reconnect under the hood. Inproc: its bytes were
-    // only counted, and the buffer goes back unread.
-    if (link != nullptr) PLASTREAM_RETURN_NOT_OK(link->SendFrame(*frame));
+    PLASTREAM_RETURN_NOT_OK(link->SendFrame(*frame));
     channel.Recycle(std::move(*frame));
   }
   return Status::OK();
@@ -374,6 +382,7 @@ Status Pipeline::Stream::Drain() {
 
 Status Pipeline::Stream::Flush() {
   PLASTREAM_RETURN_NOT_OK(transmitter->Flush());
+  if (link == nullptr) RecycleFrames();
   return Drain();
 }
 

@@ -390,18 +390,25 @@ class Pipeline {
     // link ships), then archives it.
     void OnSegment(const Segment& segment) override;
     void OnProvisionalLine(const ProvisionalLine& line) override;
-    // Ships queued frames over the link (remote) or recycles them unread
-    // (inproc), after reporting the first encode or archive failure.
+    // Reports the first encode or archive failure, then ships queued
+    // frames over the link (remote). Inproc frames were recycled as they
+    // were encoded, so an inproc stream stops after the two status tests.
     Status Drain();
     // Emits what the codec still buffers, then drains.
     Status Flush();
+    // Inproc: hands the encoded frames' buffers back to the channel
+    // unread; their bytes are already counted.
+    void RecycleFrames();
 
-    Channel channel;
-    std::unique_ptr<WireCodec> codec;
+    // Drain reads link, archive_status and the transmitter's status after
+    // every append, so they lead the struct.
+    std::unique_ptr<TransportLink> link;   // remote only
+    Status archive_status = Status::OK();  // first storage failure, sticky
+    // Borrows channel and codec below; its destructor touches neither.
     std::optional<Transmitter> transmitter;
     StreamStorage* storage = nullptr;      // borrowed; null: none or remote
-    Status archive_status = Status::OK();  // first storage failure, sticky
-    std::unique_ptr<TransportLink> link;   // remote only
+    Channel channel;
+    std::unique_ptr<WireCodec> codec;
   };
 
   Pipeline(std::optional<FilterSpec> default_spec,

@@ -3,26 +3,9 @@
 #include "stream/sharded_filter_bank.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <utility>
 
 namespace plastream {
-
-namespace {
-
-// FNV-1a 64-bit: stable across platforms and standard-library versions, so
-// key->shard placement (and therefore any per-shard observation) is
-// reproducible everywhere.
-uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<ShardedFilterBank>> ShardedFilterBank::Create(
     FilterFactory factory, Options options) {
@@ -67,11 +50,10 @@ ShardedFilterBank::~ShardedFilterBank() {
 }
 
 size_t ShardedFilterBank::ShardOf(std::string_view key) const {
-  return static_cast<size_t>(Fnv1a(key) % shards_.size());
+  return static_cast<size_t>(StreamKey(key).hash % shards_.size());
 }
 
-Status ShardedFilterBank::Enqueue(Shard& shard, std::string_view key,
-                                  Task&& task) {
+Status ShardedFilterBank::Enqueue(Shard& shard, Task&& task) {
   // The caller copied the payload before this call — the worker and every
   // other producer on this shard contend for the mutex, so allocations and
   // memcpys must not sit inside the critical section.
@@ -88,11 +70,11 @@ Status ShardedFilterBank::Enqueue(Shard& shard, std::string_view key,
   }
   // Intern the key: one allocation per distinct key per shard, then every
   // queued Task borrows the set node (node addresses are stable).
-  auto interned = shard.keys.find(key);
+  auto interned = shard.keys.find(task.key.text);
   if (interned == shard.keys.end()) {
-    interned = shard.keys.insert(std::string(key)).first;
+    interned = shard.keys.insert(std::string(task.key.text)).first;
   }
-  task.key = *interned;
+  task.key = StreamKey(*interned, task.key.hash);
   shard.queue.push_back(std::move(task));
   ++shard.in_flight;
   lock.unlock();
@@ -102,48 +84,48 @@ Status ShardedFilterBank::Enqueue(Shard& shard, std::string_view key,
 
 Status ShardedFilterBank::Append(std::string_view key,
                                  const DataPoint& point) {
-  Shard& shard = *shards_[ShardOf(key)];
+  const StreamKey hashed(key);
+  Shard& shard = ShardFor(hashed);
   if (!threaded_) {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.bank.Append(key, point);
+    return shard.bank.Append(hashed, point);
   }
-  Task task;
-  task.kind = TaskKind::kPoint;
+  Task task(hashed, TaskKind::kPoint);
   task.point = point;
-  return Enqueue(shard, key, std::move(task));
+  return Enqueue(shard, std::move(task));
 }
 
 Status ShardedFilterBank::AppendBatch(std::string_view key,
                                       std::span<const DataPoint> points) {
   if (points.empty()) return Status::OK();
-  Shard& shard = *shards_[ShardOf(key)];
+  const StreamKey hashed(key);
+  Shard& shard = ShardFor(hashed);
   if (!threaded_) {
     // The whole key-group pays for one lock acquisition.
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.bank.AppendBatch(key, points);
+    return shard.bank.AppendBatch(hashed, points);
   }
   // One queue slot (and one worker wakeup) for the whole key-group.
-  Task task;
-  task.kind = TaskKind::kBatch;
+  Task task(hashed, TaskKind::kBatch);
   task.batch.assign(points.begin(), points.end());
-  return Enqueue(shard, key, std::move(task));
+  return Enqueue(shard, std::move(task));
 }
 
 Status ShardedFilterBank::AppendBatch(std::string_view key,
                                       std::span<const double> ts,
                                       std::span<const double> vals) {
   if (ts.empty() && vals.empty()) return Status::OK();
-  Shard& shard = *shards_[ShardOf(key)];
+  const StreamKey hashed(key);
+  Shard& shard = ShardFor(hashed);
   if (!threaded_) {
     // Locked mode forwards the caller's columns zero-copy.
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.bank.AppendBatch(key, ts, vals);
+    return shard.bank.AppendBatch(hashed, ts, vals);
   }
-  Task task;
-  task.kind = TaskKind::kColumnar;
+  Task task(hashed, TaskKind::kColumnar);
   task.ts.assign(ts.begin(), ts.end());
   task.vals.assign(vals.begin(), vals.end());
-  return Enqueue(shard, key, std::move(task));
+  return Enqueue(shard, std::move(task));
 }
 
 void ShardedFilterBank::WorkerLoop(Shard& shard) {
@@ -215,9 +197,10 @@ Status ShardedFilterBank::FinishAll() {
 
 Result<std::vector<Segment>> ShardedFilterBank::TakeSegments(
     std::string_view key) {
-  Shard& shard = *shards_[ShardOf(key)];
+  const StreamKey hashed(key);
+  Shard& shard = ShardFor(hashed);
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.bank.TakeSegments(key);
+  return shard.bank.TakeSegments(hashed);
 }
 
 std::vector<std::string> ShardedFilterBank::Keys() const {
@@ -233,21 +216,24 @@ std::vector<std::string> ShardedFilterBank::Keys() const {
 }
 
 bool ShardedFilterBank::Contains(std::string_view key) const {
-  const Shard& shard = *shards_[ShardOf(key)];
+  const StreamKey hashed(key);
+  const Shard& shard = ShardFor(hashed);
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.bank.Contains(key);
+  return shard.bank.Contains(hashed);
 }
 
 const Filter* ShardedFilterBank::GetFilter(std::string_view key) const {
-  const Shard& shard = *shards_[ShardOf(key)];
+  const StreamKey hashed(key);
+  const Shard& shard = ShardFor(hashed);
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.bank.GetFilter(key);
+  return shard.bank.GetFilter(hashed);
 }
 
 const StreamContext* ShardedFilterBank::Context(std::string_view key) const {
-  const Shard& shard = *shards_[ShardOf(key)];
+  const StreamKey hashed(key);
+  const Shard& shard = ShardFor(hashed);
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.bank.Context(key);
+  return shard.bank.Context(hashed);
 }
 
 Status ShardedFilterBank::ForEachContext(

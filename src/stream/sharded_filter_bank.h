@@ -16,7 +16,10 @@
 //
 // Key-to-shard assignment is a stable FNV-1a hash, so a key's points are
 // always processed by the same shard, in arrival order — per-key segment
-// sequences are byte-identical for every shard count and both modes.
+// sequences are byte-identical for every shard count and both modes. Each
+// call hashes its key once (StreamKey); that one hash picks the shard and
+// probes the shard bank's index, and in threaded mode it rides in the
+// queued task to the worker.
 
 #ifndef PLASTREAM_STREAM_SHARDED_FILTER_BANK_H_
 #define PLASTREAM_STREAM_SHARDED_FILTER_BANK_H_
@@ -185,12 +188,15 @@ class ShardedFilterBank {
   enum class TaskKind { kPoint, kBatch, kColumnar };
 
   // One queued unit of ingest — a single point, a row batch, or a
-  // columnar batch — waiting for the shard worker. The key borrows the
-  // shard's intern set (node addresses are stable), so queueing work for
-  // an already-seen key allocates nothing for the key.
+  // columnar batch — waiting for the shard worker. The key carries the
+  // hash the producer computed, so the worker probes the bank without
+  // hashing again, and its text borrows the shard's intern set (node
+  // addresses are stable), so queueing work for an already-seen key
+  // allocates nothing for the key.
   struct Task {
-    std::string_view key;
-    TaskKind kind = TaskKind::kPoint;
+    Task(StreamKey key_in, TaskKind kind_in) : key(key_in), kind(kind_in) {}
+    StreamKey key;
+    TaskKind kind;
     DataPoint point;               // kPoint payload
     std::vector<DataPoint> batch;  // kBatch payload
     std::vector<double> ts;        // kColumnar payload (with vals)
@@ -226,8 +232,14 @@ class ShardedFilterBank {
   void WorkerLoop(Shard& shard);
 
   // Shared threaded-mode enqueue path (backpressure, key interning). The
-  // task's payload is already copied; Enqueue fills in the interned key.
-  Status Enqueue(Shard& shard, std::string_view key, Task&& task);
+  // task's payload is already copied; Enqueue points its key at the
+  // interned text.
+  Status Enqueue(Shard& shard, Task&& task);
+
+  // The shard that owns `key`: hash % N, and no division for one shard.
+  Shard& ShardFor(StreamKey key) const {
+    return *shards_[shards_.size() == 1 ? 0 : key.hash % shards_.size()];
+  }
 
   Options options_;
   bool threaded_ = false;

@@ -441,13 +441,16 @@ bool CollectorServer::ServiceRead(Connection& conn) {
   const Status fed =
       conn.splitter.Feed(std::span<const uint8_t>(read_chunk_.data(), n));
   if (!fed.ok()) {
-    FailConnection(conn, fed.message());
-    return true;  // deliver the ERROR, then close
+    FailConnection(conn, fed.message());  // deliver the ERROR, then close
+  } else {
+    while (conn.splitter.HasFrame()) {
+      if (!HandleMessage(conn, conn.splitter.NextFrame())) break;
+    }
   }
-  while (conn.splitter.HasFrame()) {
-    if (!HandleMessage(conn, conn.splitter.NextFrame())) return true;
-  }
-  return true;
+  // Write the ACKs (or the ERROR) through now rather than on the next
+  // loop pass, so a producer's Flush does not wait a whole pass over every
+  // connection; what the socket cannot take waits for POLLOUT.
+  return ServiceWrite(conn);
 }
 
 bool CollectorServer::ServiceWrite(Connection& conn) {

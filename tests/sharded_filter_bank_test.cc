@@ -143,6 +143,30 @@ TEST(ShardedFilterBankTest, KeysMergeSortedAcrossShards) {
   EXPECT_EQ(bank->GetFilter("absent"), nullptr);
 }
 
+// Every shard's index grows several times under 12,000 keys; each stream
+// keeps its filter (and its address) throughout.
+TEST(ShardedFilterBankTest, LockedShardsKeepEntriesAcrossIndexGrowth) {
+  constexpr size_t kKeys = 12000;
+  const auto bank = MakeBank(4, false);
+  const auto keys = WorkloadKeys(kKeys);
+  std::vector<const Filter*> filters;
+  for (const std::string& key : keys) {
+    ASSERT_TRUE(bank->Append(key, DataPoint::Scalar(0, 0)).ok());
+    filters.push_back(bank->GetFilter(key));
+    ASSERT_NE(filters.back(), nullptr);
+  }
+  for (size_t i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(bank->Append(keys[i], DataPoint::Scalar(1, 1)).ok());
+    ASSERT_EQ(bank->GetFilter(keys[i]), filters[i]) << keys[i];
+    ASSERT_EQ(filters[i]->points_seen(), 2u) << keys[i];
+  }
+  const auto stats = bank->Stats();
+  EXPECT_EQ(stats.streams, kKeys);
+  EXPECT_EQ(stats.points, 2 * kKeys);
+  for (const auto& shard : bank->ShardStats()) EXPECT_GT(shard.streams, 0u);
+  EXPECT_FALSE(bank->Contains("host12000.cpu"));
+}
+
 TEST(ShardedFilterBankTest, StatsAndCountersAggregateAcrossShards) {
   const auto keys = WorkloadKeys(10);
   const auto bank = MakeBank(4, false);
